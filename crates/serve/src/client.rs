@@ -18,8 +18,8 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
-    write_end_frame, write_frame, write_seq_end_frame, write_seq_frame, PutHeader, BUSY_LINE,
-    OK_LINE,
+    read_line, write_end_frame, write_frame, write_seq_end_frame, write_seq_frame, PutHeader,
+    BUSY_LINE, MAX_REPLY_LINE, OK_LINE,
 };
 
 /// How an upload ended.
@@ -98,7 +98,7 @@ impl IngestClient {
         };
         writeln!(client.writer, "{}", header.render())?;
         client.writer.flush()?;
-        let Some(greeting) = read_line(&mut client.reader)? else {
+        let Some(greeting) = read_line(&mut client.reader, MAX_REPLY_LINE)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before greeting",
@@ -185,7 +185,7 @@ impl IngestClient {
     /// the hangup.
     pub fn read_outcome(&mut self) -> io::Result<UploadOutcome> {
         loop {
-            let Some(line) = read_line(&mut self.reader)? else {
+            let Some(line) = read_line(&mut self.reader, MAX_REPLY_LINE)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed before upload verdict",
@@ -424,7 +424,7 @@ impl QueryClient {
     pub fn roundtrip(&mut self, command: &str) -> io::Result<String> {
         writeln!(self.writer, "{command}")?;
         self.writer.flush()?;
-        read_line(&mut self.reader)?.ok_or_else(|| {
+        read_line(&mut self.reader, MAX_REPLY_LINE)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-query")
         })
     }
@@ -465,7 +465,7 @@ impl QueryClient {
         }
         let mut lines = vec![first];
         loop {
-            let Some(line) = read_line(&mut self.reader)? else {
+            let Some(line) = read_line(&mut self.reader, MAX_REPLY_LINE)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-STATS block",
@@ -477,16 +477,4 @@ impl QueryClient {
             lines.push(line);
         }
     }
-}
-
-/// Reads one trimmed line; `None` on EOF.
-fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
 }

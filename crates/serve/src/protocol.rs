@@ -75,7 +75,7 @@
 //! `view_refreshes`/`view_hits`/`view_remerged`/`view_cold_rebuilds`
 //! (cache effectiveness).
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use latlab_trace::crc32;
 
@@ -85,6 +85,11 @@ pub const MAX_FRAME_PAYLOAD: usize = 4 << 20;
 
 /// Largest accepted protocol line (PUT/query commands).
 pub const MAX_LINE: usize = 1024;
+
+/// Largest accepted server reply line. `SNAPSHOT` answers on one line
+/// that grows with the scenario count, so replies are held to the frame
+/// payload cap rather than [`MAX_LINE`].
+pub const MAX_REPLY_LINE: usize = MAX_FRAME_PAYLOAD;
 
 /// Acknowledgement that an ingest header was accepted.
 pub const OK_LINE: &str = "OK";
@@ -179,6 +184,32 @@ pub fn read_seq_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u64, bool
     let seq = u64::from_le_bytes(seq);
     let more = read_frame(r, buf)?;
     Ok((seq, more))
+}
+
+/// Reads one `\n`-terminated line of at most `max` bytes, terminator
+/// included, and strips the terminator and any `\r`. `Ok(None)` means
+/// EOF before any byte of a line. A longer line is an
+/// [`io::ErrorKind::InvalidData`] error, so a misbehaving peer cannot
+/// grow the reader's buffer without limit. Servers read commands with
+/// [`MAX_LINE`], clients read replies with [`MAX_REPLY_LINE`].
+pub fn read_line(r: &mut impl BufRead, max: usize) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = r.take(max as u64 + 1).read_until(b'\n', &mut line)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if line.len() > max {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "protocol line too long",
+        ));
+    }
+    while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "protocol line not UTF-8"))
 }
 
 /// A parsed `PUT` ingest header.
@@ -378,6 +409,63 @@ mod tests {
             read_frame(&mut &wire[..], &mut buf),
             Err(FrameError::CrcMismatch)
         ));
+    }
+
+    #[test]
+    fn any_bit_flip_in_a_64k_frame_is_a_crc_mismatch() {
+        // A full-size upload frame runs the carry-less-multiply CRC
+        // kernel where the CPU has it. Flip each bit of the stored CRC,
+        // then one bit in every 61st payload byte (about a thousand
+        // flips, spread over the whole frame): each must read as a
+        // mismatch, never as a frame.
+        let payload: Vec<u8> = (0..64 << 10)
+            .map(|i: u32| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut &wire[..], &mut buf).unwrap());
+        // Bits 32..64 are the CRC field. The payload stride of 61 bytes
+        // plus one bit also rotates through the bit positions.
+        let last = wire.len() * 8 - 1;
+        let flips = (32..64).chain((64..last).step_by(61 * 8 + 1)).chain([last]);
+        for bit in flips {
+            wire[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    read_frame(&mut &wire[..], &mut buf),
+                    Err(FrameError::CrcMismatch)
+                ),
+                "flip of wire bit {bit} not detected"
+            );
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn read_line_is_bounded() {
+        let mut r = &b"PCTL fig5 0.99\r\nQUIT"[..];
+        assert_eq!(
+            read_line(&mut r, MAX_LINE).unwrap().as_deref(),
+            Some("PCTL fig5 0.99")
+        );
+        assert_eq!(
+            read_line(&mut r, MAX_LINE).unwrap().as_deref(),
+            Some("QUIT")
+        );
+        assert_eq!(read_line(&mut r, MAX_LINE).unwrap(), None);
+        // A line of exactly `max` bytes (terminator included) passes;
+        // one byte more is refused without buffering the rest.
+        let long = [b'x'; 16];
+        let mut r = &long[..];
+        assert_eq!(
+            read_line(&mut r, 8).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        let mut r = &b"1234567\n"[..];
+        assert_eq!(read_line(&mut r, 8).unwrap().as_deref(), Some("1234567"));
+        let mut r = &b"12345678\n"[..];
+        assert!(read_line(&mut r, 8).is_err());
     }
 
     #[test]

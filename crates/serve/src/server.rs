@@ -29,8 +29,8 @@
 //! workers.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::Arc;
@@ -42,7 +42,8 @@ use latlab_trace::BufferPool;
 use serde::Serialize;
 
 use crate::protocol::{
-    read_frame, read_seq_frame, FrameError, PutHeader, Query, BUSY_LINE, MAX_LINE, OK_LINE,
+    read_frame, read_line, read_seq_frame, FrameError, PutHeader, Query, BUSY_LINE, MAX_LINE,
+    OK_LINE,
 };
 use crate::query::QueryPlane;
 use crate::shard::{BeginMode, IngestRejection, Msg, Reply, ShardConfig, ShardSet};
@@ -113,6 +114,9 @@ struct Inner {
     reply_pool: BufferPool<u8>,
     stats: ServeStats,
     draining: AtomicBool,
+    /// Where [`Inner::begin_drain`] connects to wake the accept loop:
+    /// the listener's own address, on loopback.
+    wake_addr: SocketAddr,
     started: Instant,
     read_timeout: Duration,
     busy_retry: Duration,
@@ -138,14 +142,21 @@ impl Server {
         // service through the socket.
         let shards = ShardSet::start(&config.shard, config.wal.as_ref(), config.scalar_ingest)?;
         let listener = TcpListener::bind(&config.bind)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let inner = Arc::new(Inner {
             shards,
             plane: QueryPlane::new(),
             reply_pool: BufferPool::new(),
             stats: ServeStats::default(),
             draining: AtomicBool::new(false),
+            wake_addr,
             started: Instant::now(),
             read_timeout: config.read_timeout,
             busy_retry: config.busy_retry,
@@ -186,7 +197,7 @@ impl Server {
     /// connections, commit and checkpoint every shard. Returns
     /// immediately; use [`join`](Self::join) to wait.
     pub fn request_shutdown(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.begin_drain();
     }
 
     /// Waits for the drain to complete and returns the final merged
@@ -214,7 +225,7 @@ impl Server {
     /// WAL directory and assert recovery rebuilds exactly the
     /// acknowledged state.
     pub fn crash(mut self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
+        self.inner.begin_drain();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -222,12 +233,29 @@ impl Server {
     }
 }
 
+impl Inner {
+    /// Starts the drain: sets the flag, then wakes the accept loop out
+    /// of its blocking `accept` with a throwaway loopback connection.
+    /// Every drain trigger comes through here: [`Server::request_shutdown`],
+    /// the `SHUTDOWN` verb, [`Server::join`] and [`Server::crash`].
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        // A refused connect means the accept loop has already exited.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+}
+
 /// Accepts connections until a drain is requested, then joins every
-/// handler it spawned.
+/// handler it spawned. `accept` blocks, so a connection is picked up
+/// the moment it arrives; [`Inner::begin_drain`] wakes it to exit.
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !inner.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 inner.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let conn_inner = inner.clone();
@@ -250,9 +278,8 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                     handlers.retain(|h| !h.is_finished());
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (say EMFILE) would repeat at once:
+            // back off briefly before retrying.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -261,36 +288,13 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
-/// Reads one `\n`-terminated line, bounded by [`MAX_LINE`]. `Ok(None)`
-/// means EOF before any byte of a line.
-fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = Vec::new();
-    let mut limited = r.take(MAX_LINE as u64 + 1);
-    let n = limited.read_until(b'\n', &mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if line.len() > MAX_LINE {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "protocol line too long",
-        ));
-    }
-    while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "protocol line not UTF-8"))
-}
-
 /// Dispatches a fresh connection on its first line.
 fn handle_connection(stream: TcpStream, inner: &Arc<Inner>) -> io::Result<()> {
     stream.set_read_timeout(Some(inner.read_timeout))?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let Some(first) = read_line(&mut reader)? else {
+    let Some(first) = read_line(&mut reader, MAX_LINE)? else {
         return Ok(());
     };
     if first.starts_with("PUT ") {
@@ -607,7 +611,7 @@ fn query_loop(
     let mut line = Some(first.to_owned());
     loop {
         let Some(current) = line.take() else {
-            match read_line(reader) {
+            match read_line(reader, MAX_LINE) {
                 Ok(Some(l)) => line = Some(l),
                 Ok(None) => return Ok(()),
                 Err(e)
@@ -636,7 +640,7 @@ fn query_loop(
                 return Ok(());
             }
             Ok(Query::Shutdown) => {
-                inner.draining.store(true, Ordering::SeqCst);
+                inner.begin_drain();
                 writeln!(buf, "draining")?;
             }
             Ok(Query::Health) => {

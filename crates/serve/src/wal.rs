@@ -1124,6 +1124,37 @@ mod tests {
     }
 
     #[test]
+    fn a_bit_flip_in_a_64k_record_stops_replay_at_that_record() {
+        // Records the size of a 64 KiB upload frame run the
+        // carry-less-multiply CRC kernel where the CPU has it. One bit
+        // flipped anywhere in record 2 (its length and CRC fields, then
+        // every 251st byte) must end replay after record 1.
+        let tmp = TempDir::new("flip64k");
+        let mut wal = ShardWal::open(&tmp.0, 1 << 20, 1).unwrap();
+        for i in 1..=3 {
+            wal.append(&frame_rec("c", i, 64 << 10)).unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+        let path = segment_path(&tmp.0, 1);
+        let mut image = fs::read(&path).unwrap();
+        let rec_len = (image.len() - SEGMENT_HEADER_LEN) / 3;
+        let second = SEGMENT_HEADER_LEN + rec_len;
+        let bytes = (second..second + 8).chain((second + 8..second + rec_len).step_by(251));
+        for (n, byte) in bytes.enumerate() {
+            let mask = 1 << (n % 8);
+            image[byte] ^= mask;
+            fs::write(&path, &image).unwrap();
+            let mut lsns = Vec::new();
+            let (stats, next) = replay(&tmp.0, 0, |lsn, _| lsns.push(lsn)).unwrap();
+            assert_eq!(lsns, [1], "flip at byte {byte}");
+            assert!(stats.torn, "flip at byte {byte}");
+            assert_eq!(next, 2, "flip at byte {byte}");
+            image[byte] ^= mask;
+        }
+    }
+
+    #[test]
     fn open_discards_segments_past_the_recovered_horizon() {
         let tmp = TempDir::new("horizon");
         let mut wal = ShardWal::open(&tmp.0, 128, 1).unwrap();

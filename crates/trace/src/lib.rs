@@ -32,6 +32,9 @@
 //! Trace files are external input: every read path returns
 //! [`TraceError`] on corrupt or truncated data and never panics.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod codec;
 mod crc32;
 mod error;
