@@ -12,51 +12,20 @@
 //! snapshot construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-use latlab_analysis::{EventClass, LatencySketch};
+use latlab_bench::query_fixture::{dirty_variant, synthetic_snapshot};
 use latlab_serve::{merge_full, QueryPlane, ShardSnapshot};
 
 const SHARDS: u64 = 4;
 const SCENARIOS: usize = 512;
 
-/// One deterministic shard snapshot: `SCENARIOS` sketches of 48 samples.
-fn synthetic_snapshot(shard: u64) -> Arc<ShardSnapshot> {
-    let sketches: HashMap<String, Arc<LatencySketch>> = (0..SCENARIOS)
-        .map(|k| {
-            let mut s = LatencySketch::new();
-            for i in 0..48u64 {
-                let class = EventClass::ALL[((i + shard) % EventClass::ALL.len() as u64) as usize];
-                let ms = 0.3 + ((i * 17 + shard * 131 + k as u64 * 29) % 389) as f64 * 3.7;
-                s.push(class, ms);
-            }
-            (format!("scen-{k}"), Arc::new(s))
-        })
-        .collect();
-    Arc::new(ShardSnapshot {
-        epoch: shard + 1,
-        sketches,
-    })
-}
-
-/// A variant of `base` sharing every scenario `Arc` except a
-/// re-published `scen-0`.
-fn dirty_variant(base: &ShardSnapshot, bump: u64) -> Arc<ShardSnapshot> {
-    let mut sketches = base.sketches.clone();
-    let mut dirty = (**sketches.get("scen-0").expect("scen-0 exists")).clone();
-    dirty.push(EventClass::Keystroke, 1.0 + bump as f64);
-    sketches.insert("scen-0".to_owned(), Arc::new(dirty));
-    Arc::new(ShardSnapshot {
-        epoch: base.epoch + bump,
-        sketches,
-    })
-}
-
 fn bench_merge(c: &mut Criterion) {
-    let snaps: Vec<Arc<ShardSnapshot>> = (0..SHARDS).map(synthetic_snapshot).collect();
+    let snaps: Vec<Arc<ShardSnapshot>> = (0..SHARDS)
+        .map(|shard| synthetic_snapshot(shard, SCENARIOS))
+        .collect();
 
     let mut group = c.benchmark_group("merge_incremental");
     group.warm_up_time(Duration::from_millis(300));

@@ -7,56 +7,54 @@
 //!
 //! ```text
 //! perf [--out FILE] [--iters N] [--jobs N] [--no-fastforward]
-//!      [--sweep-reps N] [--no-fork]
-//!      [--baseline FILE] [--tolerance PCT] [id ...]
+//!      [--ingest-secs N] [--ingest-connections N] [--sweep-reps N]
+//!      [--no-fork] [--baseline FILE] [--tolerance PCT] [id ...]
 //! ```
 //!
-//! For each scenario it reports per-run wall clock (min and mean over
-//! `--iters` runs) and runs/second; for the whole set it reports the
-//! sequential total, the pooled total under `--jobs` workers (default:
-//! one per detected core — the pooled pass is pointless without real
-//! parallelism), the speedup, and peak RSS. An **ingest section** then
-//! benchmarks the `latlab-serve` telemetry path on loopback: a local
-//! server, `--ingest-connections` concurrent uploaders replaying a
-//! synthetic corpus for `--ingest-secs`, and a prober measuring query
-//! latency under that load (`--ingest-secs 0` skips it). A durability
-//! pass then repeats the load with the write-ahead log on, crashes the
-//! server, and times the restart's log replay — the cost of crash-safety
-//! and the speed of recovery, side by side with the WAL-off figures.
-//! A **sweep section** then times the prefix-sharing sweep engine: a
-//! full parameter grid (every sweepable parameter × 5 values ×
-//! `--sweep-reps` repetitions, default 5) on the warm Word and Notepad
-//! editing metrics, with snapshot forking and from scratch (min wall
-//! clock over 3 timed passes each), asserting the two produce
-//! bit-identical points and recording the wall-clock speedup
-//! (`--sweep-reps 0` skips it; `--no-fork` disables forking
-//! everywhere, which also skips the speedup measurement).
-//! Results land in `BENCH_repro.json` (override with `--out`) — the
-//! repo-root perf-trajectory file CI regenerates on every run as a
-//! regression gate.
+//! Five phases run in order:
 //!
-//! With `--baseline FILE`, the fresh per-scenario `wall_ms_min` values are
-//! compared against the committed baseline and the run fails if any
-//! scenario regressed by more than `--tolerance` percent (default 25).
-//! When both the baseline and the fresh run carry an ingest section, the
-//! gate also fails on ingest throughput drops or query-p99 growth beyond
-//! the same tolerance; when both carry a durability subsection, the
-//! WAL-on throughput is gated the same way (the WAL-overhead gate). A
-//! fresh sweep section is gated against an absolute fork-speedup floor
-//! (and against the baseline's speedup, when it has one). Both
-//! `latlab-perf-v1` and `latlab-perf-v2` baselines are accepted.
+//! 1. each scenario, `--iters` times (min and mean wall clock);
+//! 2. the whole set once through the job pool (`--jobs` workers, default
+//!    one per core), for the pooled speedup;
+//! 3. **ingest**: `--ingest-connections` uploaders slam an in-process
+//!    `latlab-serve` on loopback for `--ingest-secs` while a prober times
+//!    queries; the decode → extract → fold pipeline in process, batch vs
+//!    scalar; then the same slam with the write-ahead log on, a crash,
+//!    and a timed log replay (`--ingest-secs 0` skips phases 3 and 4);
+//! 4. **query**: the incremental query plane against the reference full
+//!    merge, and query latency under ingest at 1, 32 and 512 scenarios;
+//! 5. **sweep**: a full parameter grid (every sweepable parameter × 5
+//!    values × `--sweep-reps` reps, default 5) on the warm Word and
+//!    Notepad editing metrics, forked and from scratch, asserted
+//!    bit-identical (`--sweep-reps 0` or `--no-fork` skips it).
+//!
+//! Every phase pushes its figures onto one flat list of named metrics,
+//! written to `BENCH_repro.json` (override with `--out`) as schema
+//! `latlab-perf-v3`. Each metric carries its direction (`better`), an
+//! optional `noise_floor` and an optional `floor`, and one gate loop
+//! judges the list:
+//!
+//! * every `floor` is checked on the fresh value: a floored metric must
+//!   be positive and at least its floor;
+//! * with `--baseline FILE`, a metric with a noise floor is compared with
+//!   the baseline entry of the same name, and fails when it moved the
+//!   wrong way by more than `--tolerance` percent (default 25) *and* by
+//!   more than its noise floor. A name missing from either side is not
+//!   compared; a metric without a noise floor is informational.
+//!
+//! The baseline is read before anything is measured: a missing file, or
+//! one that is not `latlab-perf-v3`, fails the run at once.
 //!
 //! `--no-fastforward` times the step-by-step idle path instead of the
 //! batched one — the two produce byte-identical results, so the delta is
-//! pure simulator overhead (this is how the fast-forward speedup itself
-//! is measured).
+//! pure simulator overhead.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use latlab_analysis::{EventClass, LatencySketch};
+use latlab_analysis::EventClass;
+use latlab_bench::query_fixture::{dirty_variant, synthetic_snapshot};
 use latlab_bench::{engine, pool, scenarios};
 use latlab_core::cli;
 use latlab_serve::{merge_full, slam, QueryPlane, ServeConfig, Server, ShardSnapshot};
@@ -64,278 +62,200 @@ use serde::{Deserialize, Serialize};
 
 const BIN: &str = "perf";
 
+/// Schema tag of the trajectory file this harness writes and reads.
+const SCHEMA: &str = "latlab-perf-v3";
+
 const USAGE: &str = "\
 usage: perf [--out FILE] [--iters N] [--jobs N] [--no-fastforward]
             [--ingest-secs N] [--ingest-connections N]
             [--sweep-reps N] [--no-fork]
             [--baseline FILE] [--tolerance PCT] [id ...]";
 
-/// Per-scenario timing entry.
-#[derive(Serialize)]
-struct ScenarioBench {
-    id: String,
-    description: String,
-    wall_ms_min: f64,
-    wall_ms_mean: f64,
-    runs_per_sec: f64,
-    checks: usize,
-    failed_checks: usize,
+/// Which way a metric improves.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+enum Better {
+    Lower,
+    Higher,
+}
+use Better::{Higher, Lower};
+
+/// One measured figure and the rule that judges it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct Metric {
+    /// Stable dotted name; the baseline is matched on it.
+    name: String,
+    value: f64,
+    unit: String,
+    better: Better,
+    /// Absolute movement (in `unit`) below which a baseline regression is
+    /// treated as runner noise. `None` makes the metric informational.
+    noise_floor: Option<f64>,
+    /// Minimum the fresh value must reach, with or without a baseline; a
+    /// floored metric must also be positive.
+    floor: Option<f64>,
 }
 
-/// Loopback benchmark of the `latlab-serve` telemetry path: concurrent
-/// uploaders slamming a local server while a prober times queries. The
-/// headline figures (`mb_per_sec`, query percentiles) come from the
-/// default columnar batch decode path; `scalar_mb_per_sec` is a second
-/// run of the same load against the per-record reference path. The
-/// `pipeline_*` figures isolate the server-side pipeline — decode,
-/// sample extraction, sketch fold over the same recorded corpus,
-/// no sockets — where the two paths differ; `batch_speedup` is their
-/// ratio (the loopback numbers fold in client and kernel time that is
-/// identical for both paths).
-#[derive(Serialize)]
-struct IngestBench {
-    connections: usize,
-    duration_s: f64,
-    uploads_done: u64,
-    uploads_busy: u64,
-    upload_retries: u64,
-    upload_errors: u64,
-    records_acked: u64,
-    mb_per_sec: f64,
-    scalar_mb_per_sec: f64,
-    pipeline_batch_mb_per_sec: f64,
-    pipeline_scalar_mb_per_sec: f64,
-    batch_speedup: f64,
-    query_p50_ms: f64,
-    query_p99_ms: f64,
-    /// Durability cost and recovery speed; absent when the WAL pass is
-    /// skipped.
-    durability: Option<DurabilityBench>,
+impl Metric {
+    /// An informational figure: recorded, never gated.
+    fn info(name: impl Into<String>, value: f64, unit: &str, better: Better) -> Metric {
+        Metric {
+            name: name.into(),
+            value,
+            unit: unit.to_owned(),
+            better,
+            noise_floor: None,
+            floor: None,
+        }
+    }
+
+    /// Gates the metric against the baseline above `noise_floor`.
+    fn gated(self, noise_floor: f64) -> Metric {
+        Metric {
+            noise_floor: Some(noise_floor),
+            ..self
+        }
+    }
+
+    /// Requires the fresh value to be positive and at least `floor`.
+    fn floor(self, floor: f64) -> Metric {
+        Metric {
+            floor: Some(floor),
+            ..self
+        }
+    }
 }
 
-/// The price of crash-safety, measured: the same slam load with the
-/// write-ahead log on (and uploads on the resumable/acked path), the
-/// throughput ratio against the WAL-off headline figure, and how fast a
-/// post-crash restart replays the log it left behind.
-#[derive(Serialize)]
-struct DurabilityBench {
-    wal_mb_per_sec: f64,
-    /// `wal_mb_per_sec / mb_per_sec` — 1.0 means the log is free.
-    wal_overhead_ratio: f64,
-    reconnects: u64,
-    recovered_frames: u64,
-    recovered_records: u64,
-    recovery_ms: f64,
-    recovery_records_per_sec: f64,
+// The gated and floored metrics, one constructor per rule, so the phases
+// and the tests build them the same way.
+
+/// Scenario wall clock. Sub-millisecond scenarios can double from one
+/// run to the next on a shared runner, so slowdowns under 2 ms are noise;
+/// a real hot-path regression still surfaces through the longer ones.
+fn scenario_wall(id: &str, ms: f64) -> Metric {
+    Metric::info(format!("scenario.{id}.wall_ms_min"), ms, "ms", Lower).gated(2.0)
 }
 
-/// The query-plane benchmark: how much the incremental cached view
-/// saves over the per-query full merge it replaced, plus query latency
-/// under concurrent ingest at several scenario cardinalities.
-#[derive(Serialize)]
-struct QueryBench {
-    /// Scenario count of the synthetic snapshot set the micro-benchmark
-    /// merges.
-    cold_scenarios: usize,
-    /// Shards in the synthetic snapshot set.
-    cold_shards: usize,
-    /// Per-query cost of the reference full merge (what every query
-    /// used to pay).
-    cold_merge_ms: f64,
-    /// Per-refresh cost of the incremental plane with exactly one dirty
-    /// scenario (what a query pays now, right after a publish).
-    incremental_refresh_ms: f64,
-    /// `cold_merge_ms / incremental_refresh_ms` — the tentpole figure.
-    incremental_speedup: f64,
-    /// Query latency under concurrent slam ingest, one entry per
-    /// scenario cardinality.
-    loads: Vec<QueryLoadBench>,
+/// Loopback upload throughput. It jitters far more than scenario wall
+/// clock, so only a drop of over 10 MB/s counts.
+fn throughput(name: &str, mb_per_sec: f64) -> Metric {
+    Metric::info(name, mb_per_sec, "MB/s", Higher)
+        .gated(10.0)
+        .floor(0.0)
 }
 
-/// One scenario-cardinality point of the under-load query benchmark.
-#[derive(Serialize)]
-struct QueryLoadBench {
-    /// Distinct scenario names the ingest load fanned out over.
-    scenarios: usize,
-    /// Probes completed across all verbs.
-    queries: u64,
-    /// All-verb round-trip p50 (ms).
-    query_p50_ms: f64,
-    /// All-verb round-trip p99 (ms).
-    query_p99_ms: f64,
-    /// `PCTL` round-trip p99 (ms) — memoized quantile lookup.
-    pctl_p99_ms: f64,
-    /// `SNAPSHOT` round-trip p99 (ms) — whole-view serialization.
-    snapshot_p99_ms: f64,
-    /// `HEALTH` round-trip p99 (ms) — precomputed totals.
-    health_p99_ms: f64,
+/// Query p99 under full ingest load, the noisiest figure of all (one
+/// scheduler hiccup at the tail): only a 50 ms stall — a query blocking
+/// behind ingest — counts.
+fn query_p99(name: &str, ms: f64) -> Metric {
+    Metric::info(name, ms, "ms", Lower).gated(50.0).floor(0.0)
 }
 
-/// The sweep-engine benchmark: wall clock of a full parameter grid
-/// (every sweepable parameter × 5 values × `reps` repetitions) on the
-/// warm editing metrics, forked vs scratch. The forked pass shares one
-/// stock-prefix snapshot across the whole grid; the scratch pass
-/// (`--no-fork` semantics) re-simulates every point and repetition. The
-/// two passes' points are asserted bit-identical before the speedup is
-/// recorded.
-#[derive(Serialize)]
-struct SweepBench {
-    /// Repetitions per point in both passes.
-    reps: usize,
-    /// One entry per (profile, metric) pair.
-    entries: Vec<SweepEntryBench>,
-    /// Smallest per-entry fork speedup — the gated figure.
-    fork_speedup_min: f64,
+/// A figure that proves a phase measured something real: never compared
+/// with the baseline, but it must be positive.
+fn nonzero(name: &str, value: f64, unit: &str) -> Metric {
+    Metric::info(name, value, unit, Higher).floor(0.0)
 }
 
-/// One (profile, metric) grid of the sweep benchmark.
-#[derive(Serialize)]
-struct SweepEntryBench {
-    /// Stable id (`fig5-word`, `fig7-notepad`).
-    id: String,
-    /// OS profile name.
-    os: String,
-    /// Sweep metric name.
-    metric: String,
-    /// Grid points (params × values).
-    points: usize,
-    /// Points whose prefix forked from the shared stock snapshot.
-    forked_points: usize,
-    /// Points that re-simulated their prefix (parameter read during it).
-    scratch_points: usize,
-    /// Wall clock of the scratch pass (every point and rep from scratch).
-    scratch_ms: f64,
-    /// Wall clock of the forked pass.
-    forked_ms: f64,
-    /// `scratch_ms / forked_ms`.
-    fork_speedup: f64,
+/// In-process batch-over-scalar ingest pipeline speedup.
+fn batch_speedup(x: f64) -> Metric {
+    Metric::info("ingest.batch_speedup", x, "x", Higher).floor(1.5)
 }
 
-/// The whole trajectory datapoint.
-#[derive(Serialize)]
-struct BenchReport {
+/// Incremental query-plane refresh over the reference full merge.
+fn incremental_speedup(x: f64) -> Metric {
+    Metric::info("query.incremental_speedup", x, "x", Higher).floor(5.0)
+}
+
+/// Forked over scratch sweep grid: below 3× the snapshot engine stopped
+/// paying for itself; any drop beyond the tolerance is a regression.
+fn fork_speedup(id: &str, x: f64) -> Metric {
+    Metric::info(format!("sweep.{id}.fork_speedup"), x, "x", Higher)
+        .gated(0.0)
+        .floor(3.0)
+}
+
+/// Appends `new` to the metric list, echoing each figure as it lands.
+fn record(metrics: &mut Vec<Metric>, new: impl IntoIterator<Item = Metric>) {
+    for m in new {
+        eprintln!("  {:<38} {:>12.3} {}", m.name, m.value, m.unit);
+        metrics.push(m);
+    }
+}
+
+/// The trajectory file: a schema tag and the flat metric list.
+#[derive(Serialize, Deserialize)]
+struct Report {
     schema: String,
-    /// Scenario timings, sequential, `iters` runs each.
-    scenarios: Vec<ScenarioBench>,
-    iters: usize,
-    /// Sum of per-scenario mean wall clocks (the sequential cost of the set).
-    seq_total_ms: f64,
-    /// One full run of the set through the job pool with `jobs_pooled`
-    /// workers.
-    parallel_total_ms: f64,
-    /// Workers in the sequential pass (always 1; recorded so the file is
-    /// self-describing).
-    jobs_seq: usize,
-    /// Workers in the pooled pass.
-    jobs_pooled: usize,
-    speedup: f64,
-    /// Whether the kernel's idle fast-forward was active during timing.
-    fastforward: bool,
-    /// Peak resident set size of this process, if the platform exposes it.
-    peak_rss_kb: Option<u64>,
-    /// Loopback ingest/query benchmark; absent when `--ingest-secs 0`.
-    ingest: Option<IngestBench>,
-    /// Query-plane benchmark; absent when `--ingest-secs 0`.
-    query: Option<QueryBench>,
-    /// Sweep-engine benchmark; absent when `--sweep-reps 0` or
-    /// `--no-fork`.
-    sweep: Option<SweepBench>,
+    metrics: Vec<Metric>,
 }
 
-/// Minimal view of a perf report for `--baseline` comparison. Unknown
-/// JSON fields are ignored, so this reads both `latlab-perf-v1` and
-/// `latlab-perf-v2` files.
+/// The schema tag alone, read first so a file of another schema is named
+/// in the error instead of failing field by field.
 #[derive(Deserialize)]
-struct BaselineReport {
-    scenarios: Vec<BaselineScenario>,
+struct SchemaTag {
+    schema: String,
 }
 
-/// Per-scenario slice of a baseline file.
-#[derive(Deserialize)]
-struct BaselineScenario {
-    id: String,
-    wall_ms_min: f64,
+/// Reads a `--baseline` file; any failure is a message naming the file.
+fn read_baseline(path: &str) -> Result<Vec<Metric>, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let parse_error = |e| format!("cannot parse baseline {path}: {e:?}");
+    let tag: SchemaTag = serde_json::from_str(&text).map_err(parse_error)?;
+    if tag.schema != SCHEMA {
+        return Err(format!(
+            "baseline {path} has schema {:?}, expected {SCHEMA:?}; regenerate it with \
+             `perf --out {path}`",
+            tag.schema
+        ));
+    }
+    let report: Report = serde_json::from_str(&text).map_err(parse_error)?;
+    Ok(report.metrics)
 }
 
-/// Ingest slice of a baseline file. Parsed separately from
-/// [`BaselineReport`] because the vendored deserializer rejects absent
-/// fields: a baseline written before the ingest benchmark existed (or
-/// with `--ingest-secs 0`, which serializes `null`) simply fails this
-/// parse and yields no ingest gate.
-#[derive(Deserialize)]
-struct BaselineIngestWrapper {
-    ingest: BaselineIngest,
-}
-
-/// The two ingest figures the gate compares.
-#[derive(Deserialize)]
-struct BaselineIngest {
-    mb_per_sec: f64,
-    query_p99_ms: f64,
-}
-
-/// Durability slice of a baseline file, parsed separately for the same
-/// reason as [`BaselineIngestWrapper`]: a baseline written before the
-/// WAL benchmark existed simply fails this parse and yields no
-/// WAL-overhead gate.
-#[derive(Deserialize)]
-struct BaselineDurabilityWrapper {
-    ingest: BaselineDurabilityIngest,
-}
-
-#[derive(Deserialize)]
-struct BaselineDurabilityIngest {
-    durability: BaselineDurability,
-}
-
-/// The durability figure the gate compares.
-#[derive(Deserialize)]
-struct BaselineDurability {
-    wal_mb_per_sec: f64,
-}
-
-/// Query slice of a baseline file, parsed separately for the same
-/// reason as [`BaselineIngestWrapper`]: a baseline written before the
-/// query-plane benchmark existed simply fails this parse and yields no
-/// query-latency gate.
-#[derive(Deserialize)]
-struct BaselineQueryWrapper {
-    query: BaselineQuery,
-}
-
-/// The query figures the gate compares.
-#[derive(Deserialize)]
-struct BaselineQuery {
-    loads: Vec<BaselineQueryLoad>,
-}
-
-/// One baseline load point, matched to the fresh run by scenario count.
-#[derive(Deserialize)]
-struct BaselineQueryLoad {
-    scenarios: usize,
-    query_p99_ms: f64,
-}
-
-/// Sweep slice of a baseline file, parsed separately for the same reason
-/// as [`BaselineIngestWrapper`]: a baseline written before the sweep
-/// benchmark existed simply fails this parse and yields no
-/// baseline-relative sweep gate (the absolute floor still applies to the
-/// fresh run).
-#[derive(Deserialize)]
-struct BaselineSweepWrapper {
-    sweep: BaselineSweep,
-}
-
-#[derive(Deserialize)]
-struct BaselineSweep {
-    entries: Vec<BaselineSweepEntry>,
-}
-
-/// The sweep figure the gate compares, matched to the fresh run by id.
-#[derive(Deserialize)]
-struct BaselineSweepEntry {
-    id: String,
-    fork_speedup: f64,
+/// The gate: checks every floor on the fresh value, and compares each
+/// fresh metric that has a noise floor with the baseline entry of the
+/// same name. Returns one description per failure (empty = pass).
+fn gate(fresh: &[Metric], baseline: &[Metric], tolerance_pct: f64) -> Vec<String> {
+    let mut failures = Vec::new();
+    for m in fresh {
+        if let Some(floor) = m.floor {
+            if !(m.value > 0.0 && m.value >= floor) {
+                failures.push(format!(
+                    "{}: {:.3} {} is not positive and at least {floor}",
+                    m.name, m.value, m.unit
+                ));
+            }
+        }
+        let Some(noise_floor) = m.noise_floor else {
+            continue;
+        };
+        let Some(base) = baseline.iter().find(|b| b.name == m.name) else {
+            continue;
+        };
+        if base.value <= 0.0 {
+            continue;
+        }
+        // Movement in the bad direction, absolute and relative.
+        let worse = match m.better {
+            Lower => m.value - base.value,
+            Higher => base.value - m.value,
+        };
+        let worse_pct = worse / base.value * 100.0;
+        let regressed = worse_pct > tolerance_pct && worse > noise_floor;
+        let line = format!(
+            "{}: {:.2} vs baseline {:.2} {} ({worse_pct:+.1}% worse; noise floor {noise_floor})",
+            m.name, m.value, base.value, m.unit
+        );
+        eprintln!(
+            "  gate {line} {}",
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+        if regressed {
+            failures.push(line);
+        }
+    }
+    failures
 }
 
 /// Peak RSS of the current process in kB (`VmHWM`), Linux only.
@@ -348,236 +268,66 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Absolute slowdown below which a percentage regression is treated as
-/// timer/scheduler noise rather than a real hot-path change. Sub-millisecond
-/// scenarios can double from one run to the next on a shared runner; a real
-/// regression on them still surfaces through the scenarios that run long
-/// enough to measure.
-const GATE_NOISE_FLOOR_MS: f64 = 2.0;
-
-/// Compares fresh timings against a committed baseline; returns the list
-/// of scenarios that regressed beyond `tolerance_pct`.
-fn gate_against_baseline(
-    baseline: &BaselineReport,
-    fresh: &[ScenarioBench],
-    tolerance_pct: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for base in &baseline.scenarios {
-        let Some(now) = fresh.iter().find(|e| e.id == base.id) else {
-            // Scenario absent from this run (subset invocation or removed);
-            // nothing to gate.
-            continue;
-        };
-        if base.wall_ms_min <= 0.0 {
-            continue;
+/// Phase 1: per-scenario sequential timing, `iters` runs each. Returns
+/// the sum of per-scenario mean wall clocks and whether any scenario
+/// panicked or failed a shape check.
+fn scenario_phase(ids: &[String], iters: usize, metrics: &mut Vec<Metric>) -> (f64, bool) {
+    let mut seq_total_ms = 0.0f64;
+    let mut any_failed = false;
+    for id in ids {
+        let mut total_ms = 0.0f64;
+        let mut min_ms = f64::INFINITY;
+        let mut failed = 0usize;
+        let mut panicked = false;
+        for _ in 0..iters {
+            let t0 = Instant::now();
+            // A panicking scenario must not abort the whole timing pass:
+            // record it as failed and keep timing the rest of the set.
+            let Ok(reports) = std::panic::catch_unwind(|| scenarios::run_by_id(id)) else {
+                panicked = true;
+                break;
+            };
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            total_ms += ms;
+            min_ms = min_ms.min(ms);
+            failed = reports
+                .iter()
+                .flat_map(|r| &r.checks)
+                .filter(|c| !c.passed)
+                .count();
         }
-        let ratio = now.wall_ms_min / base.wall_ms_min;
-        let delta_pct = (ratio - 1.0) * 100.0;
-        let delta_ms = now.wall_ms_min - base.wall_ms_min;
-        let regressed = delta_pct > tolerance_pct && delta_ms > GATE_NOISE_FLOOR_MS;
-        let verdict = if regressed {
-            "REGRESSED"
-        } else if delta_pct > tolerance_pct {
-            "ok (below noise floor)"
-        } else {
-            "ok"
-        };
-        eprintln!(
-            "  gate {:<10} {:>9.2} ms vs baseline {:>9.2} ms ({delta_pct:+.1}%) {verdict}",
-            base.id, now.wall_ms_min, base.wall_ms_min
-        );
-        if regressed {
-            regressions.push(format!(
-                "{}: {:.2} ms vs baseline {:.2} ms ({delta_pct:+.1}% > {tolerance_pct}%)",
-                base.id, now.wall_ms_min, base.wall_ms_min
-            ));
-        }
-    }
-    regressions
-}
-
-/// Noise floors for the ingest gate. Loopback throughput on a shared
-/// runner jitters far more than scenario wall clocks, so a percentage
-/// regression only counts when the absolute movement is also large.
-/// Query p99 under full ingest load is the noisiest figure of all (it is
-/// one scheduler hiccup at the tail); its floor is set so only a genuine
-/// stall on the query path — e.g. a query blocking behind ingest — trips
-/// the gate, not runner jitter.
-const INGEST_NOISE_FLOOR_MB_S: f64 = 10.0;
-const INGEST_NOISE_FLOOR_MS: f64 = 50.0;
-
-/// Compares the fresh ingest figures against the baseline's; returns
-/// regression descriptions (empty = pass).
-fn gate_ingest(base: &BaselineIngest, now: &IngestBench, tolerance_pct: f64) -> Vec<String> {
-    let mut regressions = Vec::new();
-    if base.mb_per_sec > 0.0 {
-        let delta_pct = (now.mb_per_sec / base.mb_per_sec - 1.0) * 100.0;
-        let drop_abs = base.mb_per_sec - now.mb_per_sec;
-        let regressed = -delta_pct > tolerance_pct && drop_abs > INGEST_NOISE_FLOOR_MB_S;
-        eprintln!(
-            "  gate ingest     {:>9.1} MB/s vs baseline {:>9.1} MB/s ({delta_pct:+.1}%) {}",
-            now.mb_per_sec,
-            base.mb_per_sec,
-            if regressed { "REGRESSED" } else { "ok" }
-        );
-        if regressed {
-            regressions.push(format!(
-                "ingest throughput: {:.1} MB/s vs baseline {:.1} MB/s \
-                 ({delta_pct:+.1}% beyond {tolerance_pct}%)",
-                now.mb_per_sec, base.mb_per_sec
-            ));
-        }
-    }
-    if base.query_p99_ms > 0.0 && now.query_p99_ms > 0.0 {
-        let delta_pct = (now.query_p99_ms / base.query_p99_ms - 1.0) * 100.0;
-        let delta_ms = now.query_p99_ms - base.query_p99_ms;
-        let regressed = delta_pct > tolerance_pct && delta_ms > INGEST_NOISE_FLOOR_MS;
-        eprintln!(
-            "  gate query p99  {:>9.2} ms vs baseline {:>9.2} ms ({delta_pct:+.1}%) {}",
-            now.query_p99_ms,
-            base.query_p99_ms,
-            if regressed { "REGRESSED" } else { "ok" }
-        );
-        if regressed {
-            regressions.push(format!(
-                "query p99: {:.2} ms vs baseline {:.2} ms ({delta_pct:+.1}% > {tolerance_pct}%)",
-                now.query_p99_ms, base.query_p99_ms
-            ));
-        }
-    }
-    regressions
-}
-
-/// Compares WAL-on throughput against the baseline's; returns regression
-/// descriptions (empty = pass). Same noise floor as the plain ingest
-/// gate — this is the WAL-overhead gate: it trips when logging got
-/// expensive, not when the runner got slow (the plain figure gates that).
-fn gate_durability(
-    base: &BaselineDurability,
-    now: &DurabilityBench,
-    tolerance_pct: f64,
-) -> Vec<String> {
-    if base.wal_mb_per_sec <= 0.0 {
-        return Vec::new();
-    }
-    let delta_pct = (now.wal_mb_per_sec / base.wal_mb_per_sec - 1.0) * 100.0;
-    let drop_abs = base.wal_mb_per_sec - now.wal_mb_per_sec;
-    let regressed = -delta_pct > tolerance_pct && drop_abs > INGEST_NOISE_FLOOR_MB_S;
-    eprintln!(
-        "  gate wal ingest {:>9.1} MB/s vs baseline {:>9.1} MB/s ({delta_pct:+.1}%) {}",
-        now.wal_mb_per_sec,
-        base.wal_mb_per_sec,
-        if regressed { "REGRESSED" } else { "ok" }
-    );
-    if regressed {
-        vec![format!(
-            "WAL ingest throughput: {:.1} MB/s vs baseline {:.1} MB/s \
-             ({delta_pct:+.1}% beyond {tolerance_pct}%)",
-            now.wal_mb_per_sec, base.wal_mb_per_sec
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Compares query p99 under load against the baseline's, per matching
-/// scenario cardinality; returns regression descriptions (empty =
-/// pass). Same noise floor as the ingest query-p99 gate — a tail probe
-/// under full load is one scheduler hiccup away from doubling.
-fn gate_query(base: &BaselineQuery, now: &QueryBench, tolerance_pct: f64) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for b in &base.loads {
-        let Some(n) = now.loads.iter().find(|l| l.scenarios == b.scenarios) else {
-            continue;
-        };
-        if b.query_p99_ms <= 0.0 || n.query_p99_ms <= 0.0 {
+        if panicked {
+            any_failed = true;
+            eprintln!("  {id:<10} PANICKED — excluded from timings");
             continue;
         }
-        let delta_pct = (n.query_p99_ms / b.query_p99_ms - 1.0) * 100.0;
-        let delta_ms = n.query_p99_ms - b.query_p99_ms;
-        let regressed = delta_pct > tolerance_pct && delta_ms > INGEST_NOISE_FLOOR_MS;
-        eprintln!(
-            "  gate query@{:<5} {:>8.2} ms vs baseline {:>8.2} ms ({delta_pct:+.1}%) {}",
-            b.scenarios,
-            n.query_p99_ms,
-            b.query_p99_ms,
-            if regressed { "REGRESSED" } else { "ok" }
-        );
-        if regressed {
-            regressions.push(format!(
-                "query p99 at {} scenario(s): {:.2} ms vs baseline {:.2} ms \
-                 ({delta_pct:+.1}% > {tolerance_pct}%)",
-                b.scenarios, n.query_p99_ms, b.query_p99_ms
-            ));
-        }
+        let mean_ms = total_ms / iters as f64;
+        any_failed |= failed > 0;
+        seq_total_ms += mean_ms;
+        let mean = Metric::info(format!("scenario.{id}.wall_ms_mean"), mean_ms, "ms", Lower);
+        record(metrics, [scenario_wall(id, min_ms), mean]);
     }
-    regressions
+    (seq_total_ms, any_failed)
 }
 
-/// The fork-speedup floor: a forked grid sweep that is not at least this
-/// much faster than the scratch pass means the snapshot engine stopped
-/// paying for itself (e.g. snapshots got expensive, or prefixes stopped
-/// forking). Gated absolutely — no baseline required.
-const SWEEP_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Gates the sweep benchmark: every entry must clear the absolute
-/// speedup floor, and — when the baseline carries a matching entry —
-/// must not have slowed down beyond `tolerance_pct` relative to it.
-fn gate_sweep(base: Option<&BaselineSweep>, now: &SweepBench, tolerance_pct: f64) -> Vec<String> {
-    let mut regressions = Vec::new();
-    for entry in &now.entries {
-        let floor_ok = entry.fork_speedup >= SWEEP_SPEEDUP_FLOOR;
-        let base_speedup = base
-            .and_then(|b| b.entries.iter().find(|e| e.id == entry.id))
-            .map(|e| e.fork_speedup);
-        let base_ok = match base_speedup {
-            Some(b) if b > 0.0 => (entry.fork_speedup / b - 1.0) * 100.0 >= -tolerance_pct,
-            _ => true,
-        };
-        let regressed = !floor_ok || !base_ok;
-        eprintln!(
-            "  gate sweep {:<12} {:>6.2}x speedup (floor {SWEEP_SPEEDUP_FLOOR}x{}) {}",
-            entry.id,
-            entry.fork_speedup,
-            base_speedup.map_or(String::new(), |b| format!(", baseline {b:.2}x")),
-            if regressed { "REGRESSED" } else { "ok" }
-        );
-        if !floor_ok {
-            regressions.push(format!(
-                "sweep {}: fork speedup {:.2}x below the {SWEEP_SPEEDUP_FLOOR}x floor",
-                entry.id, entry.fork_speedup
-            ));
-        } else if !base_ok {
-            regressions.push(format!(
-                "sweep {}: fork speedup {:.2}x vs baseline {:.2}x (more than {tolerance_pct}% down)",
-                entry.id,
-                entry.fork_speedup,
-                base_speedup.unwrap_or(0.0)
-            ));
-        }
-    }
-    regressions
-}
-
-/// Timed passes per mode in `sweep_entry_bench`; the reported wall clock
-/// is the min, like the per-scenario timings, so a scheduler hiccup in
-/// one pass can't fail the absolute speedup floor.
+/// Timed passes per mode in `sweep_entry`; the reported wall clock is the
+/// min, like the per-scenario timings, so a scheduler hiccup in one pass
+/// can't fail the absolute speedup floor.
 const SWEEP_TIMING_PASSES: usize = 3;
 
-/// Phase 5: the sweep-engine benchmark. Runs the full parameter grid —
-/// every sweepable parameter at 5 values around stock, `reps` reps each —
-/// on one warm editing metric, from scratch and forked
-/// (`SWEEP_TIMING_PASSES` timed passes each, min wall clock per mode),
-/// checks the points are bit-identical, and returns the timings.
+/// One sweep-phase grid: every sweepable parameter at 5 values around
+/// stock, `reps` reps each, on one warm editing metric, from scratch and
+/// forked (`SWEEP_TIMING_PASSES` timed passes each, min wall clock per
+/// mode). Checks the points are bit-identical and records the timings.
 /// Sequential (`jobs = 1`) so the speedup measures the engine, not the
 /// thread pool.
-fn sweep_entry_bench(
+fn sweep_entry(
     id: &str,
     os: latlab_os::OsProfile,
     metric: latlab_bench::sweep::SweepMetric,
     reps: usize,
-) -> Result<SweepEntryBench, String> {
+    metrics: &mut Vec<Metric>,
+) -> Result<(), String> {
     use latlab_bench::sweep::{run_sweep_grid, SweepParam};
     let columns: Vec<(SweepParam, Vec<u64>)> = SweepParam::ALL
         .into_iter()
@@ -625,114 +375,41 @@ fn sweep_entry_bench(
             }
         }
     }
-    Ok(SweepEntryBench {
-        id: id.to_string(),
-        os: os.name().to_string(),
-        metric: metric.name().to_string(),
-        points,
-        forked_points: stats.forked_points,
-        scratch_points: stats.scratch_points,
-        scratch_ms,
-        forked_ms,
-        fork_speedup: scratch_ms / forked_ms.max(1e-9),
-    })
+    let name = |what: &str| format!("sweep.{id}.{what}");
+    let forked_points = stats.forked_points as f64;
+    record(
+        metrics,
+        [
+            Metric::info(name("scratch_ms"), scratch_ms, "ms", Lower),
+            Metric::info(name("forked_ms"), forked_ms, "ms", Lower),
+            Metric::info(name("points"), points as f64, "count", Higher),
+            Metric::info(name("forked_points"), forked_points, "count", Higher),
+            fork_speedup(id, scratch_ms / forked_ms.max(1e-9)),
+        ],
+    );
+    Ok(())
 }
 
-/// The durability pass: the same slam load with the WAL on and uploads
-/// on the resumable path, then a crash (no drain, no checkpoint) and a
-/// timed restart that replays the log the crash left behind.
-fn durability_bench(
-    secs: u64,
-    connections: usize,
-    plain_mb_per_sec: f64,
-) -> std::io::Result<DurabilityBench> {
-    let wal_dir = std::env::temp_dir().join(format!("latlab-perf-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-    let start = |dir: &std::path::Path| {
-        Server::start(ServeConfig {
-            bind: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_secs(10),
-            wal: Some(latlab_serve::WalConfig::new(dir)),
-            ..ServeConfig::default()
-        })
-    };
-    let server = start(&wal_dir)?;
-    let corpus = vec![latlab_serve::idle_corpus(200_000, 0xbe9c, 64)];
-    let cfg = slam::SlamConfig {
-        addr: server.local_addr(),
-        connections,
-        scenario: "perf-wal".to_string(),
-        duration: Duration::from_secs(secs),
-        resume: true,
-        ..slam::SlamConfig::default()
-    };
-    let report = slam::run(&cfg, &corpus)?;
-    server.crash();
-
-    let t0 = Instant::now();
-    let recovered = start(&wal_dir)?;
-    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let rec = *recovered.recovery();
-    recovered.request_shutdown();
-    let _ = recovered.join();
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let wal_mb_per_sec = report.mb_per_sec();
-    Ok(DurabilityBench {
-        wal_mb_per_sec,
-        wal_overhead_ratio: if plain_mb_per_sec > 0.0 {
-            wal_mb_per_sec / plain_mb_per_sec
-        } else {
-            0.0
-        },
-        reconnects: report.reconnects,
-        recovered_frames: rec.frames,
-        recovered_records: rec.records,
-        recovery_ms,
-        recovery_records_per_sec: rec.records as f64 / (recovery_ms / 1e3).max(1e-9),
-    })
-}
-
-/// Phase 3: the loopback ingest benchmark. Starts an in-process server
-/// on an ephemeral port, slams it with `connections` uploaders replaying
-/// a synthetic idle-stamp corpus for `secs` seconds, and drains it.
-/// `scalar` selects the per-record reference decode path instead of the
-/// default columnar batch path.
-fn ingest_bench(secs: u64, connections: usize, scalar: bool) -> std::io::Result<IngestBench> {
-    let server = Server::start(ServeConfig {
+/// Starts an in-process server on an ephemeral port.
+fn start_server(wal: Option<&std::path::Path>) -> std::io::Result<Server> {
+    Server::start(ServeConfig {
         bind: "127.0.0.1:0".to_string(),
         read_timeout: Duration::from_secs(10),
-        scalar_ingest: scalar,
+        wal: wal.map(latlab_serve::WalConfig::new),
         ..ServeConfig::default()
-    })?;
-    let corpus = vec![latlab_serve::idle_corpus(200_000, 0xbe9c, 64)];
-    let cfg = slam::SlamConfig {
+    })
+}
+
+/// The slam load every loopback pass runs: `connections` uploaders for
+/// `secs` seconds against `server`.
+fn slam_config(server: &Server, scenario: &str, secs: u64, connections: usize) -> slam::SlamConfig {
+    slam::SlamConfig {
         addr: server.local_addr(),
         connections,
-        scenario: "perf-ingest".to_string(),
+        scenario: scenario.to_string(),
         duration: Duration::from_secs(secs),
         ..slam::SlamConfig::default()
-    };
-    let report = slam::run(&cfg, &corpus)?;
-    server.request_shutdown();
-    let _ = server.join();
-    Ok(IngestBench {
-        connections,
-        duration_s: report.elapsed.as_secs_f64(),
-        uploads_done: report.uploads_done,
-        uploads_busy: report.uploads_busy,
-        upload_retries: report.upload_retries,
-        upload_errors: report.upload_errors,
-        records_acked: report.records_acked,
-        mb_per_sec: report.mb_per_sec(),
-        scalar_mb_per_sec: 0.0,
-        pipeline_batch_mb_per_sec: 0.0,
-        pipeline_scalar_mb_per_sec: 0.0,
-        batch_speedup: 0.0,
-        query_p50_ms: report.query_p50_ms,
-        query_p99_ms: report.query_p99_ms,
-        durability: None,
-    })
+    }
 }
 
 /// In-process throughput of the server-side ingest pipeline — decode,
@@ -759,24 +436,81 @@ fn pipeline_bench() -> (f64, f64) {
     (rate(false), rate(true))
 }
 
-/// Builds one synthetic shard snapshot for the query micro-benchmark:
-/// `scenarios` sketches of a few dozen deterministic samples each.
-fn synthetic_snapshot(shard: u64, scenarios: usize) -> Arc<ShardSnapshot> {
-    let sketches: HashMap<String, Arc<LatencySketch>> = (0..scenarios)
-        .map(|k| {
-            let mut s = LatencySketch::new();
-            for i in 0..48u64 {
-                let class = EventClass::ALL[((i + shard) % EventClass::ALL.len() as u64) as usize];
-                let ms = 0.3 + ((i * 17 + shard * 131 + k as u64 * 29) % 389) as f64 * 3.7;
-                s.push(class, ms);
-            }
-            (format!("scen-{k}"), Arc::new(s))
-        })
-        .collect();
-    Arc::new(ShardSnapshot {
-        epoch: shard + 1,
-        sketches,
-    })
+/// Phase 3: the ingest benchmark. A loopback slam with the WAL off (the
+/// headline throughput and query latency), the in-process batch-vs-scalar
+/// pipeline, then the same slam with the WAL on and uploads on the
+/// resumable path, a crash (no drain, no checkpoint) and a timed restart
+/// that replays the log the crash left behind.
+fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std::io::Result<()> {
+    let corpus = vec![latlab_serve::idle_corpus(200_000, 0xbe9c, 64)];
+    let server = start_server(None)?;
+    let report = slam::run(
+        &slam_config(&server, "perf-ingest", secs, connections),
+        &corpus,
+    )?;
+    server.request_shutdown();
+    let _ = server.join();
+    let mb_per_sec = report.mb_per_sec();
+    let (batch, scalar) = pipeline_bench();
+    record(
+        metrics,
+        [
+            throughput("ingest.mb_per_sec", mb_per_sec),
+            Metric::info(
+                "ingest.uploads_done",
+                report.uploads_done as f64,
+                "count",
+                Higher,
+            ),
+            Metric::info(
+                "ingest.uploads_busy",
+                report.uploads_busy as f64,
+                "count",
+                Lower,
+            ),
+            Metric::info("ingest.query_p50_ms", report.query_p50_ms, "ms", Lower),
+            query_p99("ingest.query_p99_ms", report.query_p99_ms),
+            Metric::info("ingest.pipeline_batch_mb_per_sec", batch, "MB/s", Higher),
+            Metric::info("ingest.pipeline_scalar_mb_per_sec", scalar, "MB/s", Higher),
+            batch_speedup(if scalar > 0.0 { batch / scalar } else { 0.0 }),
+        ],
+    );
+
+    let wal_dir = std::env::temp_dir().join(format!("latlab-perf-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let server = start_server(Some(&wal_dir))?;
+    let cfg = slam::SlamConfig {
+        resume: true,
+        ..slam_config(&server, "perf-wal", secs, connections)
+    };
+    let report = slam::run(&cfg, &corpus)?;
+    server.crash();
+    let t0 = Instant::now();
+    let recovered = start_server(Some(&wal_dir))?;
+    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let rec = *recovered.recovery();
+    recovered.request_shutdown();
+    let _ = recovered.join();
+    let _ = std::fs::remove_dir_all(&wal_dir);
+
+    let wal_mb_per_sec = report.mb_per_sec();
+    let overhead = if mb_per_sec > 0.0 {
+        wal_mb_per_sec / mb_per_sec
+    } else {
+        0.0
+    };
+    let records_per_sec = rec.records as f64 / (recovery_ms / 1e3).max(1e-9);
+    record(
+        metrics,
+        [
+            throughput("ingest.wal_mb_per_sec", wal_mb_per_sec),
+            Metric::info("ingest.wal_overhead_ratio", overhead, "ratio", Higher),
+            nonzero("ingest.recovered_frames", rec.frames as f64, "count"),
+            Metric::info("ingest.recovery_ms", recovery_ms, "ms", Lower),
+            nonzero("ingest.recovery_records_per_sec", records_per_sec, "1/s"),
+        ],
+    );
+    Ok(())
 }
 
 /// Mean per-pass wall clock (ms) of repeated calls to `f`: at least 5
@@ -804,22 +538,9 @@ fn query_plane_bench(shards: usize, scenarios: usize) -> (f64, f64) {
         std::hint::black_box(merge_full(&snaps));
     });
     let plane = QueryPlane::new();
-    plane.refresh(&snaps); // cold rebuild happens outside the timed region
-                           // Two prebuilt variants of shard 0 that share every scenario Arc
-                           // except a re-published "scen-0" — flip-flopping between them makes
-                           // every refresh see exactly one dirty scenario without timing the
-                           // snapshot construction itself.
-    let variant = |bump: u64| -> Arc<ShardSnapshot> {
-        let mut sketches = snaps[0].sketches.clone();
-        let mut dirty = (**sketches.get("scen-0").expect("scen-0 exists")).clone();
-        dirty.push(EventClass::Keystroke, 1.0 + bump as f64);
-        sketches.insert("scen-0".to_owned(), Arc::new(dirty));
-        Arc::new(ShardSnapshot {
-            epoch: snaps[0].epoch + bump,
-            sketches,
-        })
-    };
-    let (alt_a, alt_b) = (variant(1), variant(2));
+    // The cold rebuild happens outside the timed region.
+    plane.refresh(&snaps);
+    let (alt_a, alt_b) = (dirty_variant(&snaps[0], 1), dirty_variant(&snaps[0], 2));
     let mut flip = false;
     let incremental_ms = timed_passes(|| {
         snaps[0] = if flip { alt_a.clone() } else { alt_b.clone() };
@@ -829,51 +550,59 @@ fn query_plane_bench(shards: usize, scenarios: usize) -> (f64, f64) {
     (cold_ms, incremental_ms)
 }
 
-/// One under-load point of the query benchmark: slam ingest fanned out
-/// over `scenarios` scenario names while the prober cycles
+/// Phase 4: the query-plane benchmark — the micro figure (reference full
+/// merge vs incremental refresh with one dirty scenario, 4 shards × 512
+/// scenarios), then query latency under slam ingest fanned out over 1,
+/// 32 and 512 scenario names while the prober cycles
 /// `PCTL`/`SNAPSHOT`/`HEALTH` at a tight interval.
-fn query_load_bench(
-    secs: u64,
-    connections: usize,
-    scenarios: usize,
-) -> std::io::Result<QueryLoadBench> {
-    let server = Server::start(ServeConfig {
-        bind: "127.0.0.1:0".to_string(),
-        read_timeout: Duration::from_secs(10),
-        ..ServeConfig::default()
-    })?;
+fn query_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std::io::Result<()> {
+    let (cold_ms, incremental_ms) = query_plane_bench(4, 512);
+    record(
+        metrics,
+        [
+            Metric::info("query.cold_merge_ms", cold_ms, "ms", Lower),
+            Metric::info("query.incremental_refresh_ms", incremental_ms, "ms", Lower),
+            incremental_speedup(cold_ms / incremental_ms.max(1e-9)),
+        ],
+    );
     // Smaller blobs than the throughput pass: more uploads per second
     // means more publishes, which is the dirty-scenario pressure the
     // plane has to absorb while answering.
     let corpus = vec![latlab_serve::idle_corpus(50_000, 0xbe9c, 64)];
-    let cfg = slam::SlamConfig {
-        addr: server.local_addr(),
-        connections,
-        scenario: "perf-query".to_string(),
-        scenarios,
-        duration: Duration::from_secs(secs),
-        query_interval: Duration::from_millis(2),
-        ..slam::SlamConfig::default()
-    };
-    let report = slam::run(&cfg, &corpus)?;
-    server.request_shutdown();
-    let _ = server.join();
-    let verb_p99 = |verb: &str| {
-        report
-            .verbs
-            .iter()
-            .find(|v| v.verb == verb)
-            .map_or(0.0, |v| v.p99_ms)
-    };
-    Ok(QueryLoadBench {
-        scenarios,
-        queries: report.queries,
-        query_p50_ms: report.query_p50_ms,
-        query_p99_ms: report.query_p99_ms,
-        pctl_p99_ms: verb_p99("PCTL"),
-        snapshot_p99_ms: verb_p99("SNAPSHOT"),
-        health_p99_ms: verb_p99("HEALTH"),
-    })
+    for n in [1usize, 32, 512] {
+        let server = start_server(None)?;
+        let cfg = slam::SlamConfig {
+            scenarios: n,
+            query_interval: Duration::from_millis(2),
+            ..slam_config(&server, "perf-query", secs, connections)
+        };
+        let report = slam::run(&cfg, &corpus)?;
+        server.request_shutdown();
+        let _ = server.join();
+        record(
+            metrics,
+            [
+                nonzero(
+                    &format!("query.queries@{n}"),
+                    report.queries as f64,
+                    "count",
+                ),
+                Metric::info(
+                    format!("query.p50_ms@{n}"),
+                    report.query_p50_ms,
+                    "ms",
+                    Lower,
+                ),
+                query_p99(&format!("query.p99_ms@{n}"), report.query_p99_ms),
+            ],
+        );
+        let verbs = report.verbs.iter().map(|v| {
+            let name = format!("query.{}_p99_ms@{n}", v.verb.to_lowercase());
+            Metric::info(name, v.p99_ms, "ms", Lower)
+        });
+        record(metrics, verbs);
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -901,86 +630,49 @@ fn main() -> ExitCode {
             args.next()
                 .ok_or_else(|| cli::usage_error(BIN, &format!("{what} requires a value"), USAGE))
         };
+        // Parses the flag's value as `$ty`, accepting it only if `$ok`
+        // holds; anything else is a usage error reading `$msg`.
+        macro_rules! value {
+            ($ty:ty, $ok:expr, $msg:expr) => {
+                match take(&arg).map(|v| v.parse::<$ty>()) {
+                    Ok(Ok(v)) if $ok(v) => v,
+                    Err(code) => return code,
+                    _ => return cli::usage_error(BIN, &format!("{arg} requires {}", $msg), USAGE),
+                }
+            };
+        }
         match arg.as_str() {
             "--version" => return cli::print_version(BIN),
             "--out" => match take("--out") {
                 Ok(v) => out = v,
                 Err(code) => return code,
             },
-            "--iters" => {
-                match take("--iters").map(|v| v.parse::<usize>()) {
-                    Ok(Ok(n)) if n > 0 => iters = n,
-                    Err(code) => return code,
-                    _ => {
-                        return cli::usage_error(BIN, "--iters requires a positive integer", USAGE)
-                    }
-                };
-            }
-            "--jobs" => {
-                match take("--jobs").map(|v| v.parse::<usize>()) {
-                    Ok(Ok(n)) if n > 0 => jobs = n,
-                    Err(code) => return code,
-                    _ => return cli::usage_error(BIN, "--jobs requires a positive integer", USAGE),
-                };
-            }
+            "--iters" => iters = value!(usize, |n| n > 0, "a positive integer"),
+            "--jobs" => jobs = value!(usize, |n| n > 0, "a positive integer"),
             "--no-fastforward" => fastforward = false,
             "--no-fork" => fork = false,
             "--sweep-reps" => {
-                match take("--sweep-reps").map(|v| v.parse::<usize>()) {
-                    Ok(Ok(n)) => sweep_reps = n,
-                    Err(code) => return code,
-                    _ => {
-                        return cli::usage_error(
-                            BIN,
-                            "--sweep-reps requires an integer (0 disables the sweep benchmark)",
-                            USAGE,
-                        )
-                    }
-                };
+                sweep_reps = value!(
+                    usize,
+                    |_| true,
+                    "an integer (0 disables the sweep benchmark)"
+                )
             }
             "--ingest-secs" => {
-                match take("--ingest-secs").map(|v| v.parse::<u64>()) {
-                    Ok(Ok(n)) => ingest_secs = n,
-                    Err(code) => return code,
-                    _ => {
-                        return cli::usage_error(
-                            BIN,
-                            "--ingest-secs requires an integer (0 disables the ingest benchmark)",
-                            USAGE,
-                        )
-                    }
-                };
+                ingest_secs = value!(
+                    u64,
+                    |_| true,
+                    "an integer (0 disables the ingest benchmark)"
+                )
             }
             "--ingest-connections" => {
-                match take("--ingest-connections").map(|v| v.parse::<usize>()) {
-                    Ok(Ok(n)) if n > 0 => ingest_connections = n,
-                    Err(code) => return code,
-                    _ => {
-                        return cli::usage_error(
-                            BIN,
-                            "--ingest-connections requires a positive integer",
-                            USAGE,
-                        )
-                    }
-                };
+                ingest_connections = value!(usize, |n| n > 0, "a positive integer")
             }
             "--baseline" => match take("--baseline") {
                 Ok(v) => baseline_path = Some(v),
                 Err(code) => return code,
             },
-            "--tolerance" => {
-                match take("--tolerance").map(|v| v.parse::<f64>()) {
-                    Ok(Ok(n)) if n > 0.0 => tolerance_pct = n,
-                    Err(code) => return code,
-                    _ => {
-                        return cli::usage_error(
-                            BIN,
-                            "--tolerance requires a positive percentage",
-                            USAGE,
-                        )
-                    }
-                };
-            }
+            "--tolerance" => tolerance_pct = value!(f64, |n| n > 0.0, "a positive percentage"),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 println!("ids: {:?}", scenarios::ALL_IDS);
@@ -1008,6 +700,12 @@ fn main() -> ExitCode {
             USAGE,
         );
     }
+    // Read the baseline before measuring anything: a bad one must not cost
+    // a whole timing pass to report.
+    let baseline = match baseline_path.as_deref().map(read_baseline).transpose() {
+        Ok(b) => b.unwrap_or_default(),
+        Err(msg) => return cli::runtime_error(BIN, &msg),
+    };
     // The pooled pass defaults to one worker per detected core; `--jobs`
     // overrides. (The sequential pass is, by definition, one worker.)
     let jobs_pooled = pool::resolve_jobs(jobs);
@@ -1022,59 +720,8 @@ fn main() -> ExitCode {
         ids.len(),
         if fastforward { "on" } else { "off" },
     );
-
-    // Phase 1: per-scenario sequential timing.
-    let mut entries = Vec::with_capacity(ids.len());
-    let mut any_failed = false;
-    for id in &ids {
-        let mut total_ms = 0.0f64;
-        let mut min_ms = f64::INFINITY;
-        let mut checks = 0usize;
-        let mut failed = 0usize;
-        let mut panicked = false;
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            // A panicking scenario must not abort the whole timing pass:
-            // record it as failed and keep timing the rest of the set.
-            let reports = match std::panic::catch_unwind(|| scenarios::run_by_id(id)) {
-                Ok(reports) => reports,
-                Err(_) => {
-                    panicked = true;
-                    break;
-                }
-            };
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            total_ms += ms;
-            min_ms = min_ms.min(ms);
-            checks = reports.iter().map(|r| r.checks.len()).sum();
-            failed = reports
-                .iter()
-                .flat_map(|r| &r.checks)
-                .filter(|c| !c.passed)
-                .count();
-        }
-        if panicked {
-            any_failed = true;
-            eprintln!("  {id:<10} PANICKED — excluded from timings");
-            continue;
-        }
-        let mean_ms = total_ms / iters as f64;
-        any_failed |= failed > 0;
-        eprintln!(
-            "  {id:<10} {mean_ms:>9.2} ms/run  ({:.1} runs/s)",
-            1e3 / mean_ms
-        );
-        entries.push(ScenarioBench {
-            id: id.clone(),
-            description: scenarios::description(id).to_string(),
-            wall_ms_min: min_ms,
-            wall_ms_mean: mean_ms,
-            runs_per_sec: 1e3 / mean_ms,
-            checks,
-            failed_checks: failed,
-        });
-    }
-    let seq_total_ms: f64 = entries.iter().map(|e| e.wall_ms_mean).sum();
+    let mut metrics = Vec::new();
+    let (seq_total_ms, mut any_failed) = scenario_phase(&ids, iters, &mut metrics);
 
     // Phase 2: one full pass of the set through the job pool.
     let cfg = engine::EngineConfig {
@@ -1085,188 +732,54 @@ fn main() -> ExitCode {
     };
     let t0 = Instant::now();
     let runs = engine::run_scenarios(&ids, &cfg, |_| {});
-    let parallel_total_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let pool_total_ms = t0.elapsed().as_secs_f64() * 1e3;
     for run in &runs {
         if let Some(reason) = run.failure() {
             eprintln!("perf: scenario {} failed in pool pass: {reason}", run.id);
             any_failed = true;
         }
     }
+    let pool_speedup = seq_total_ms / pool_total_ms.max(1e-9);
+    record(
+        &mut metrics,
+        [
+            Metric::info("suite.seq_total_ms", seq_total_ms, "ms", Lower),
+            Metric::info("suite.pool_total_ms", pool_total_ms, "ms", Lower),
+            Metric::info("suite.pool_jobs", jobs_pooled as f64, "count", Higher),
+            Metric::info("suite.pool_speedup", pool_speedup, "x", Higher),
+        ],
+    );
 
-    // Phase 3: loopback ingest/query benchmark of the telemetry service,
-    // once through the columnar batch path (the headline numbers) and
-    // once through the scalar reference path for the speedup figure.
-    let ingest = if ingest_secs > 0 {
-        eprintln!(
-            "perf: ingest benchmark — {ingest_connections} connection(s) for {ingest_secs} s \
-             (batch, then scalar)"
-        );
-        match ingest_bench(ingest_secs, ingest_connections, false) {
-            Ok(mut bench) => {
-                eprintln!(
-                    "  ingest batch  {:>9.1} MB/s  ({} uploads, {} busy, {} retries)  \
-                     query p50 {:.2} ms  p99 {:.2} ms",
-                    bench.mb_per_sec,
-                    bench.uploads_done,
-                    bench.uploads_busy,
-                    bench.upload_retries,
-                    bench.query_p50_ms,
-                    bench.query_p99_ms
-                );
-                match ingest_bench(ingest_secs, ingest_connections, true) {
-                    Ok(scalar) => {
-                        bench.scalar_mb_per_sec = scalar.mb_per_sec;
-                        eprintln!("  ingest scalar {:>9.1} MB/s", bench.scalar_mb_per_sec);
-                    }
-                    Err(e) => {
-                        return cli::runtime_error(
-                            BIN,
-                            &format!("scalar ingest benchmark failed: {e}"),
-                        )
-                    }
-                }
-                let (batch_mb_s, scalar_mb_s) = pipeline_bench();
-                bench.pipeline_batch_mb_per_sec = batch_mb_s;
-                bench.pipeline_scalar_mb_per_sec = scalar_mb_s;
-                bench.batch_speedup = if scalar_mb_s > 0.0 {
-                    batch_mb_s / scalar_mb_s
-                } else {
-                    0.0
-                };
-                eprintln!(
-                    "  pipeline      {batch_mb_s:>9.1} MB/s batch vs {scalar_mb_s:.1} MB/s \
-                     scalar  (speedup {:.2}x)",
-                    bench.batch_speedup
-                );
-                match durability_bench(ingest_secs, ingest_connections, bench.mb_per_sec) {
-                    Ok(dur) => {
-                        eprintln!(
-                            "  ingest wal    {:>9.1} MB/s  ({:.0}% of wal-off)  recovery \
-                             {:.0} ms for {} frames ({:.0} records/s)",
-                            dur.wal_mb_per_sec,
-                            dur.wal_overhead_ratio * 100.0,
-                            dur.recovery_ms,
-                            dur.recovered_frames,
-                            dur.recovery_records_per_sec,
-                        );
-                        bench.durability = Some(dur);
-                    }
-                    Err(e) => {
-                        return cli::runtime_error(
-                            BIN,
-                            &format!("durability benchmark failed: {e}"),
-                        )
-                    }
-                }
-                Some(bench)
-            }
-            Err(e) => return cli::runtime_error(BIN, &format!("ingest benchmark failed: {e}")),
+    if ingest_secs > 0 {
+        eprintln!("perf: ingest and query benchmarks — {ingest_connections} connection(s)");
+        if let Err(e) = ingest_phase(ingest_secs, ingest_connections, &mut metrics) {
+            return cli::runtime_error(BIN, &format!("ingest benchmark failed: {e}"));
         }
-    } else {
-        None
-    };
-
-    // Phase 4: the query-plane benchmark — the micro figure (reference
-    // full merge vs incremental refresh with one dirty scenario), then
-    // query latency under live ingest at several scenario counts.
-    let query = if ingest_secs > 0 {
-        const QUERY_SHARDS: usize = 4;
-        const QUERY_SCENARIOS: usize = 512;
-        let (cold_ms, incremental_ms) = query_plane_bench(QUERY_SHARDS, QUERY_SCENARIOS);
-        let speedup = cold_ms / incremental_ms.max(1e-9);
-        eprintln!(
-            "  query plane   full merge {cold_ms:.3} ms vs incremental {incremental_ms:.4} ms \
-             at {QUERY_SCENARIOS} scenarios x {QUERY_SHARDS} shards  (speedup {speedup:.0}x)"
-        );
-        let mut loads = Vec::new();
-        for &n in &[1usize, 32, 512] {
-            match query_load_bench(ingest_secs, ingest_connections, n) {
-                Ok(load) => {
-                    eprintln!(
-                        "  query@{n:<5}   p99 {:.2} ms  (pctl {:.2} / snapshot {:.2} / \
-                         health {:.2}; {} probes)",
-                        load.query_p99_ms,
-                        load.pctl_p99_ms,
-                        load.snapshot_p99_ms,
-                        load.health_p99_ms,
-                        load.queries
-                    );
-                    loads.push(load);
-                }
-                Err(e) => return cli::runtime_error(BIN, &format!("query benchmark failed: {e}")),
-            }
+        if let Err(e) = query_phase(ingest_secs, ingest_connections, &mut metrics) {
+            return cli::runtime_error(BIN, &format!("query benchmark failed: {e}"));
         }
-        Some(QueryBench {
-            cold_scenarios: QUERY_SCENARIOS,
-            cold_shards: QUERY_SHARDS,
-            cold_merge_ms: cold_ms,
-            incremental_refresh_ms: incremental_ms,
-            incremental_speedup: speedup,
-            loads,
-        })
-    } else {
-        None
-    };
-
-    // Phase 5: the sweep-engine benchmark — forked vs scratch wall clock
-    // of the full parameter grid on the warm fig5/fig7 editing metrics.
-    // Meaningless with forking globally disabled, so `--no-fork` skips it.
-    let sweep = if sweep_reps > 0 && fork {
-        use latlab_bench::sweep::SweepMetric;
-        use latlab_os::OsProfile;
+    }
+    // Forked-vs-scratch is meaningless with forking globally disabled.
+    if sweep_reps > 0 && fork {
+        use latlab_bench::sweep::SweepMetric::{NotepadKeystrokeMs, WordKeystrokeMs};
+        use latlab_os::OsProfile::{Nt351, Nt40};
         eprintln!("perf: sweep benchmark — full grid, {sweep_reps} rep(s), forked vs scratch");
-        let mut entries = Vec::new();
         for (id, os, metric) in [
-            ("fig5-word", OsProfile::Nt351, SweepMetric::WordKeystrokeMs),
-            (
-                "fig7-notepad",
-                OsProfile::Nt40,
-                SweepMetric::NotepadKeystrokeMs,
-            ),
+            ("fig5-word", Nt351, WordKeystrokeMs),
+            ("fig7-notepad", Nt40, NotepadKeystrokeMs),
         ] {
-            match sweep_entry_bench(id, os, metric, sweep_reps) {
-                Ok(entry) => {
-                    eprintln!(
-                        "  sweep {id:<12} {:>8.0} ms scratch vs {:>7.0} ms forked \
-                         ({:.2}x; {}/{} points forked)",
-                        entry.scratch_ms,
-                        entry.forked_ms,
-                        entry.fork_speedup,
-                        entry.forked_points,
-                        entry.points
-                    );
-                    entries.push(entry);
-                }
-                Err(e) => return cli::runtime_error(BIN, &format!("sweep benchmark failed: {e}")),
+            if let Err(e) = sweep_entry(id, os, metric, sweep_reps, &mut metrics) {
+                return cli::runtime_error(BIN, &format!("sweep benchmark failed: {e}"));
             }
         }
-        let fork_speedup_min = entries
-            .iter()
-            .map(|e| e.fork_speedup)
-            .fold(f64::INFINITY, f64::min);
-        Some(SweepBench {
-            reps: sweep_reps,
-            entries,
-            fork_speedup_min,
-        })
-    } else {
-        None
-    };
+    }
+    if let Some(kb) = peak_rss_kb() {
+        metrics.push(Metric::info("suite.peak_rss_kb", kb as f64, "kB", Lower));
+    }
 
-    let report = BenchReport {
-        schema: "latlab-perf-v2".to_string(),
-        scenarios: entries,
-        iters,
-        seq_total_ms,
-        parallel_total_ms,
-        jobs_seq: 1,
-        jobs_pooled,
-        speedup: seq_total_ms / parallel_total_ms.max(1e-9),
-        fastforward,
-        peak_rss_kb: peak_rss_kb(),
-        ingest,
-        query,
-        sweep,
+    let report = Report {
+        schema: SCHEMA.to_string(),
+        metrics,
     };
     let json = match serde_json::to_string_pretty(&report) {
         Ok(j) => j,
@@ -1276,69 +789,146 @@ fn main() -> ExitCode {
         return cli::runtime_error(BIN, &format!("cannot write {out}: {e}"));
     }
     eprintln!(
-        "perf: sequential {seq_total_ms:.0} ms, pool({jobs_pooled}) {parallel_total_ms:.0} ms \
-         ({:.2}x), report in {out}",
-        report.speedup
+        "perf: report in {out}; gating against {} (tolerance {tolerance_pct}%)",
+        baseline_path.as_deref().unwrap_or("floors only")
     );
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return cli::runtime_error(BIN, &format!("cannot read baseline {path}: {e}")),
-        };
-        let baseline: BaselineReport = match serde_json::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                return cli::runtime_error(BIN, &format!("cannot parse baseline {path}: {e:?}"))
-            }
-        };
-        eprintln!("perf: gating against {path} (tolerance {tolerance_pct}%)");
-        let mut regressions = gate_against_baseline(&baseline, &report.scenarios, tolerance_pct);
-        // The ingest gate is opportunistic: it engages only when both the
-        // baseline and this run carry ingest figures.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineIngestWrapper>(&text),
-            report.ingest.as_ref(),
-        ) {
-            regressions.extend(gate_ingest(&base.ingest, now, tolerance_pct));
+    let failures = gate(&report.metrics, &baseline, tolerance_pct);
+    if !failures.is_empty() {
+        eprintln!("perf: {} measurement(s) failed the gate:", failures.len());
+        for f in &failures {
+            eprintln!("  {f}");
         }
-        // Likewise the WAL-overhead gate: only when both sides measured
-        // the durability pass.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineDurabilityWrapper>(&text),
-            report.ingest.as_ref().and_then(|i| i.durability.as_ref()),
-        ) {
-            regressions.extend(gate_durability(&base.ingest.durability, now, tolerance_pct));
-        }
-        // And the query-latency gate, matched per scenario count; same
-        // opportunistic shape for pre-query-plane baselines.
-        if let (Ok(base), Some(now)) = (
-            serde_json::from_str::<BaselineQueryWrapper>(&text),
-            report.query.as_ref(),
-        ) {
-            regressions.extend(gate_query(&base.query, now, tolerance_pct));
-        }
-        // The sweep gate has an absolute floor, so it engages whenever
-        // this run measured the sweep — with or without a sweep section
-        // in the baseline.
-        if let Some(now) = report.sweep.as_ref() {
-            let base = serde_json::from_str::<BaselineSweepWrapper>(&text).ok();
-            regressions.extend(gate_sweep(
-                base.as_ref().map(|b| &b.sweep),
-                now,
-                tolerance_pct,
-            ));
-        }
-        if !regressions.is_empty() {
-            eprintln!("perf: {} measurement(s) regressed:", regressions.len());
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            return ExitCode::FAILURE;
-        }
+        return ExitCode::FAILURE;
     }
     if any_failed {
         eprintln!("perf: WARNING — some shape checks failed during timing runs");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn failures(fresh: &[Metric], baseline: &[Metric]) -> Vec<String> {
+        gate(fresh, baseline, 25.0)
+    }
+
+    #[test]
+    fn lower_is_better_regression_beyond_tolerance_and_noise_fails() {
+        // +43% and +30 ms: past both the tolerance and the 2 ms floor.
+        let wall = |ms| scenario_wall("fig7", ms);
+        let fails = failures(&[wall(100.0)], &[wall(70.0)]);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(
+            fails[0].starts_with("scenario.fig7.wall_ms_min"),
+            "{fails:?}"
+        );
+        // Query p99 past its 50 ms floor: +600%, +60 ms.
+        let p99 = |ms| query_p99("query.p99_ms@512", ms);
+        assert_eq!(failures(&[p99(70.0)], &[p99(10.0)]).len(), 1);
+    }
+
+    #[test]
+    fn regression_under_the_noise_floor_passes() {
+        // +100% but only +1 ms: timer noise on a sub-ms scenario.
+        assert!(failures(&[scenario_wall("fig1", 2.0)], &[scenario_wall("fig1", 1.0)]).is_empty());
+        // Query p99 +300% but +30 ms, under the 50 ms floor.
+        let p99 = |ms| query_p99("ingest.query_p99_ms", ms);
+        assert!(failures(&[p99(40.0)], &[p99(10.0)]).is_empty());
+        // Throughput -36% but only -5 MB/s, under the 10 MB/s floor.
+        let mb = |v| throughput("ingest.wal_mb_per_sec", v);
+        assert!(failures(&[mb(9.0)], &[mb(14.0)]).is_empty());
+    }
+
+    #[test]
+    fn higher_is_better_drop_fails() {
+        for name in ["ingest.mb_per_sec", "ingest.wal_mb_per_sec"] {
+            let base = [throughput(name, 140.0)];
+            // -36% and -50 MB/s.
+            assert_eq!(failures(&[throughput(name, 90.0)], &base).len(), 1);
+            // An improvement never fails.
+            assert!(failures(&[throughput(name, 300.0)], &base).is_empty());
+        }
+        // Fork speedup: noise floor 0, so any drop past the tolerance fails.
+        let fork = |x| fork_speedup("fig5-word", x);
+        assert_eq!(failures(&[fork(4.0)], &[fork(6.0)]).len(), 1);
+        assert!(failures(&[fork(5.0)], &[fork(6.0)]).is_empty());
+    }
+
+    #[test]
+    fn names_missing_from_the_baseline_are_not_compared_but_floors_apply() {
+        let base = [scenario_wall("fig1", 1.0)];
+        // A metric the baseline does not have: no comparison, however slow.
+        assert!(failures(&[scenario_wall("fig5", 1e6)], &base).is_empty());
+        // A floored one still has its floor checked.
+        let fails = failures(&[fork_speedup("fig7-notepad", 2.0)], &base);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        // A baseline name absent from the fresh run is ignored too.
+        assert!(failures(&[], &base).is_empty());
+    }
+
+    #[test]
+    fn floor_violations_fail_without_a_baseline() {
+        let below = [
+            batch_speedup(1.49),
+            incremental_speedup(4.9),
+            fork_speedup("fig7-notepad", 2.9),
+            nonzero("ingest.recovered_frames", 0.0, "count"),
+            nonzero("ingest.recovery_records_per_sec", 0.0, "1/s"),
+            nonzero("query.queries@32", 0.0, "count"),
+            query_p99("query.p99_ms@32", 0.0),
+            query_p99("ingest.query_p99_ms", 0.0),
+            throughput("ingest.mb_per_sec", 0.0),
+            throughput("ingest.wal_mb_per_sec", -1.0),
+        ];
+        let fails = failures(&below, &[]);
+        assert_eq!(fails.len(), below.len(), "{fails:?}");
+        // At the floor (and positive) every one of them passes.
+        let at: Vec<Metric> = below
+            .into_iter()
+            .map(|m| Metric {
+                value: m.floor.unwrap().max(1.0),
+                ..m
+            })
+            .collect();
+        assert!(failures(&at, &[]).is_empty());
+        assert_eq!((at[0].value, at[1].value, at[2].value), (1.5, 5.0, 3.0));
+    }
+
+    #[test]
+    fn informational_metrics_never_gate() {
+        let recovery = |ms| Metric::info("ingest.recovery_ms", ms, "ms", Lower);
+        assert!(failures(&[recovery(1e9)], &[recovery(1.0)]).is_empty());
+        // The floor-only rows are not compared with the baseline.
+        assert!(failures(&[batch_speedup(1.6)], &[batch_speedup(3.0)]).is_empty());
+        assert!(failures(&[incremental_speedup(6.0)], &[incremental_speedup(900.0)]).is_empty());
+        let frames = |n| nonzero("ingest.recovered_frames", n, "count");
+        assert!(failures(&[frames(1.0)], &[frames(1000.0)]).is_empty());
+    }
+
+    #[test]
+    fn reports_round_trip_and_other_schemas_are_refused() {
+        let dir = std::env::temp_dir().join(format!("latlab-perf-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v3.json");
+        let report = Report {
+            schema: SCHEMA.to_string(),
+            metrics: vec![scenario_wall("fig1", 1.5), batch_speedup(3.0)],
+        };
+        std::fs::write(&path, serde_json::to_string_pretty(&report).unwrap()).unwrap();
+        let back = read_baseline(path.to_str().unwrap()).expect("v3 parses");
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].name, "scenario.fig1.wall_ms_min");
+        assert_eq!((back[0].noise_floor, back[1].floor), (Some(2.0), Some(1.5)));
+        assert_eq!((back[0].better, back[1].better), (Lower, Higher));
+
+        let old = dir.join("v2.json");
+        std::fs::write(&old, r#"{"schema": "latlab-perf-v2", "scenarios": []}"#).unwrap();
+        let err = read_baseline(old.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("latlab-perf-v2"), "{err}");
+        assert!(read_baseline(dir.join("missing.json").to_str().unwrap()).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -11,6 +11,7 @@ pub mod engine;
 pub mod faultcfg;
 pub mod forkcfg;
 pub mod pool;
+pub mod query_fixture;
 pub mod record;
 pub mod report;
 pub mod runner;

@@ -120,27 +120,41 @@ fn runtime_failures_exit_1() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // A baseline file that does not exist is a runtime failure for perf.
-    let out = Command::new(PERF)
-        .args([
-            "--iters",
-            "1",
-            "--ingest-secs",
-            "0",
-            "--out",
-            &tmp_dir("perf-out").join("bench.json").display().to_string(),
-            "--baseline",
-            "/no/such/baseline.json",
-            "fig1",
-        ])
-        .output()
-        .expect("run perf");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // A baseline that does not exist, or is not `latlab-perf-v3`, is a
+    // runtime failure for perf, reported before anything is measured (the
+    // default sweep grid alone would take tens of seconds here), so no
+    // report is written.
+    let dir = tmp_dir("perf-out");
+    let report = dir.join("bench.json");
+    let v2 = dir.join("v2.json");
+    std::fs::write(&v2, r#"{"schema": "latlab-perf-v2", "scenarios": []}"#).expect("write v2");
+    for (baseline, needle) in [
+        ("/no/such/baseline.json", "cannot read baseline"),
+        (v2.to_str().expect("utf-8 path"), "latlab-perf-v2"),
+    ] {
+        let _ = std::fs::remove_file(&report);
+        let out = Command::new(PERF)
+            .args([
+                "--iters",
+                "1",
+                "--ingest-secs",
+                "0",
+                "--out",
+                &report.display().to_string(),
+                "--baseline",
+                baseline,
+                "fig1",
+            ])
+            .output()
+            .expect("run perf");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
+        assert!(
+            !report.exists(),
+            "perf measured before rejecting {baseline}"
+        );
+    }
 }
 
 #[test]

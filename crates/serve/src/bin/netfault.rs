@@ -30,23 +30,6 @@ faults frame-by-frame; prints injection counters on SIGINT/SIGTERM.";
 
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_signal(_signum: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-    unsafe {
-        signal(2, on_signal as *const () as usize);
-        signal(15, on_signal as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
-
 fn main() -> ExitCode {
     let mut target_arg: Option<String> = None;
     let mut bind = "127.0.0.1:0".to_owned();
@@ -116,7 +99,7 @@ fn main() -> ExitCode {
         _ => return cli::usage_error(BIN, &format!("unresolvable address {target_arg:?}"), USAGE),
     };
 
-    install_signal_handlers();
+    latlab_serve::install_signal_handlers(&SIGNALLED);
     let proxy = match FaultProxy::start(&bind, target, config) {
         Ok(p) => p,
         Err(e) => return cli::runtime_error(BIN, &format!("failed to start: {e}")),

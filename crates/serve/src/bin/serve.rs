@@ -17,8 +17,6 @@ usage: latlab-serve [options]
   --publish-every N    samples folded between snapshot publishes (default 65536)
   --read-timeout-ms N  per-connection read timeout (default 30000)
   --busy-retry-ms N    full-queue retry window before BUSY (default 100)
-  --scalar-ingest      use the per-record decode path instead of the
-                       columnar batch path (reference/debug)
   --wal DIR            write-ahead log directory: log accepted frames
                        before acking, checkpoint sketches, and recover
                        (replay the tail) on restart before listening
@@ -30,25 +28,6 @@ usage: latlab-serve [options]
 
 /// Set by the SIGTERM/SIGINT handler; polled by the main loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_signal(_signum: i32) {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-    // SIGINT = 2, SIGTERM = 15. Raw libc-less registration keeps the
-    // workspace dependency-free; the handler only flips an atomic.
-    unsafe {
-        signal(2, on_signal as *const () as usize);
-        signal(15, on_signal as *const () as usize);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 fn main() -> ExitCode {
     let mut config = ServeConfig {
@@ -110,7 +89,6 @@ fn main() -> ExitCode {
             "--busy-retry-ms" => {
                 config.busy_retry = Duration::from_millis(parse_or_usage!("--busy-retry-ms", u64))
             }
-            "--scalar-ingest" => config.scalar_ingest = true,
             "--wal" => match take("--wal") {
                 Ok(v) => wal_dir = Some(v),
                 Err(code) => return code,
@@ -132,7 +110,7 @@ fn main() -> ExitCode {
         config.wal = Some(wal);
     }
 
-    install_signal_handlers();
+    latlab_serve::install_signal_handlers(&SIGNALLED);
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => return cli::runtime_error(BIN, &format!("failed to start: {e}")),

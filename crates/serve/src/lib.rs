@@ -63,3 +63,36 @@ pub use server::{ServeConfig, ServeStats, Server};
 pub use shard::{IngestRejection, IngestTotals, ShardConfig, ShardSet, ShardSnapshot};
 pub use slam::{idle_corpus, synthetic_corpus, SlamConfig, SlamReport, VerbLatency};
 pub use wal::{RecoveryStats, WalConfig};
+
+use std::sync::atomic::AtomicBool;
+use std::sync::OnceLock;
+
+/// The flag [`install_signal_handlers`] flips.
+static SIGNAL_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
+
+/// Makes SIGINT and SIGTERM set `flag`, which the binaries poll to start
+/// a graceful drain. Only the first call's flag is ever set; on non-Unix
+/// targets this does nothing.
+pub fn install_signal_handlers(flag: &'static AtomicBool) {
+    let _ = SIGNAL_FLAG.set(flag);
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        extern "C" fn on_signal(_signum: i32) {
+            if let Some(flag) = SIGNAL_FLAG.get() {
+                flag.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        // SAFETY: `signal` is the C library's, declared with its ABI
+        // (`int` signal number, handler passed as a pointer-sized value).
+        // SIGINT = 2 and SIGTERM = 15 are valid signal numbers, and the
+        // handler only performs an atomic load and an atomic store, both
+        // async-signal-safe.
+        unsafe {
+            signal(2, on_signal as *const () as usize);
+            signal(15, on_signal as *const () as usize);
+        }
+    }
+}

@@ -8,8 +8,8 @@
 //!   decoder materializes one `Record` per stamp, [`StreamDecoder::poll`]
 //!   hands them back one at a time, each stamp gap becomes at most one
 //!   sample, and every sample updates the [`LatencySketch`] individually
-//!   — exactly the shape the service shipped with, kept as the
-//!   behavioural reference;
+//!   — exactly the shape the service shipped with, kept here as the
+//!   in-process test oracle (the server itself runs only the batch path);
 //! * the **columnar batch path**: [`StreamDecoder::poll_batch`] drains
 //!   whole decoded chunks into a stamp column, gaps are converted in one
 //!   tight loop, and samples fold through

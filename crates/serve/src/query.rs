@@ -704,7 +704,7 @@ mod tests {
             let corpus = idle_corpus(2_000, seed | 1, 16);
             let frames = frames_of(&corpus, 1024);
             let plane = QueryPlane::new();
-            let mut set = ShardSet::start(&config, Some(&tmp.wal()), false).unwrap();
+            let mut set = ShardSet::start(&config, Some(&tmp.wal())).unwrap();
             for (step, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Upload(n) => {
@@ -716,11 +716,11 @@ mod tests {
                     }
                     Op::DrainRestart => {
                         set.drain_and_join();
-                        set = ShardSet::start(&config, Some(&tmp.wal()), false).unwrap();
+                        set = ShardSet::start(&config, Some(&tmp.wal())).unwrap();
                     }
                     Op::CrashRestart => {
                         set.crash_and_join();
-                        set = ShardSet::start(&config, Some(&tmp.wal()), false).unwrap();
+                        set = ShardSet::start(&config, Some(&tmp.wal())).unwrap();
                     }
                 }
                 // Whatever the shards have published right now is a

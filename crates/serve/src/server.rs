@@ -65,11 +65,6 @@ pub struct ServeConfig {
     /// How long an ingest handler retries a full shard queue before
     /// answering `BUSY`. Zero means reject on the first full queue.
     pub busy_retry: Duration,
-    /// Use the per-record scalar decode path instead of the columnar
-    /// batch path. The batch path is the default; the scalar path is the
-    /// reference implementation, kept selectable for comparison (the
-    /// perf harness measures both).
-    pub scalar_ingest: bool,
 }
 
 impl Default for ServeConfig {
@@ -80,7 +75,6 @@ impl Default for ServeConfig {
             wal: None,
             read_timeout: Duration::from_secs(30),
             busy_retry: Duration::from_millis(100),
-            scalar_ingest: false,
         }
     }
 }
@@ -140,7 +134,7 @@ impl Server {
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         // Recover before bind: nothing can observe a half-recovered
         // service through the socket.
-        let shards = ShardSet::start(&config.shard, config.wal.as_ref(), config.scalar_ingest)?;
+        let shards = ShardSet::start(&config.shard, config.wal.as_ref())?;
         let listener = TcpListener::bind(&config.bind)?;
         let local_addr = listener.local_addr()?;
         let mut wake_addr = local_addr;

@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_trace::{BufferPool, StreamDecoder};
+use latlab_trace::{BufferPool, DecoderState, StreamDecoder};
 
 use crate::pipeline::SampleExtractor;
 use crate::wal::{
@@ -262,11 +262,7 @@ impl ShardSet {
     ///
     /// Filesystem failures opening the WAL (recovery of torn/corrupt
     /// *content* is tolerant and not an error).
-    pub fn start(
-        config: &ShardConfig,
-        wal: Option<&WalConfig>,
-        scalar: bool,
-    ) -> io::Result<ShardSet> {
+    pub fn start(config: &ShardConfig, wal: Option<&WalConfig>) -> io::Result<ShardSet> {
         let n = config.shards.max(1);
         let frame_pool: BufferPool<u8> = BufferPool::new();
         let totals = Arc::new(IngestTotals::default());
@@ -280,7 +276,7 @@ impl ShardSet {
             let (shard_wal, dir, sketches, streams, epoch) = match wal {
                 Some(cfg) => {
                     let dir = cfg.shard_dir(i);
-                    let rec = recover_shard(&dir, scalar)?;
+                    let rec = recover_shard(&dir)?;
                     recovery.merge(&rec.stats);
                     max_conn = max_conn.max(rec.max_conn);
                     let shard_wal = ShardWal::open(&dir, cfg.segment_bytes, rec.next_lsn)?;
@@ -301,7 +297,6 @@ impl ShardSet {
                 slot: slot.clone(),
                 pool: frame_pool.clone(),
                 totals: totals.clone(),
-                scalar,
                 publish_every: config.publish_every.max(1),
                 checkpoint_bytes: wal.map_or(u64::MAX, |c| c.checkpoint_bytes.max(1)),
                 dir,
@@ -507,18 +502,13 @@ fn fold_frame_into(
     sketches: &mut HashMap<String, Arc<LatencySketch>>,
     scenario: &str,
     class: Option<EventClass>,
-    scalar: bool,
     column: &mut Vec<u64>,
     samples: &mut Vec<f64>,
     bytes: &[u8],
 ) -> Result<u64, String> {
     decoder.feed(bytes).map_err(|e| format!("trace: {e}"))?;
     samples.clear();
-    if scalar {
-        extractor.pull(decoder, samples);
-    } else {
-        extractor.pull_batch(decoder, column, samples);
-    }
+    extractor.pull_batch(decoder, column, samples);
     if !samples.is_empty() {
         Arc::make_mut(sketches.entry(scenario.to_owned()).or_default())
             .update_batch(class.unwrap_or(EventClass::Background), samples);
@@ -531,7 +521,6 @@ struct Worker {
     slot: Arc<SnapshotSlot>,
     pool: BufferPool<u8>,
     totals: Arc<IngestTotals>,
-    scalar: bool,
     publish_every: u64,
     checkpoint_bytes: u64,
     dir: Option<PathBuf>,
@@ -704,21 +693,13 @@ impl Worker {
             self.pool.put(bytes);
             return;
         }
-        let scalar = self.scalar;
-        let decoder = state.decoder.get_or_insert_with(|| {
-            if scalar {
-                StreamDecoder::new_scalar()
-            } else {
-                StreamDecoder::new()
-            }
-        });
+        let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
         let folded = fold_frame_into(
             decoder,
             &mut state.extractor,
             &mut self.sketches,
             stream.scenario(),
             state.class,
-            scalar,
             &mut self.column,
             &mut self.samples,
             &bytes,
@@ -964,7 +945,7 @@ struct Recovered {
 
 /// Checkpoint load + tail replay for one shard directory, run before
 /// the worker accepts any traffic.
-fn recover_shard(dir: &Path, scalar: bool) -> io::Result<Recovered> {
+fn recover_shard(dir: &Path) -> io::Result<Recovered> {
     let t0 = Instant::now();
     let mut stats = RecoveryStats::default();
     let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
@@ -985,7 +966,12 @@ fn recover_shard(dir: &Path, scalar: bool) -> io::Result<Recovered> {
             state.last_seq = s.last_seq;
             state.done_records = s.done_records;
             state.done_bytes = s.done_bytes;
-            state.decoder = s.decoder.map(StreamDecoder::restore);
+            // A checkpoint from a server that still had a scalar ingest
+            // mode may carry `scalar: true`; the state is otherwise the
+            // same, so it resumes on the one (batch) path.
+            state.decoder = s
+                .decoder
+                .map(|d| StreamDecoder::restore(DecoderState { scalar: false, ..d }));
             state.extractor = SampleExtractor::with_prev(s.prev_stamp);
             streams.insert(s.id, state);
         }
@@ -1009,13 +995,7 @@ fn recover_shard(dir: &Path, scalar: bool) -> io::Result<Recovered> {
                 return;
             }
             state.class = class;
-            let decoder = state.decoder.get_or_insert_with(|| {
-                if scalar {
-                    StreamDecoder::new_scalar()
-                } else {
-                    StreamDecoder::new()
-                }
-            });
+            let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
             let before = decoder.records_decoded();
             match fold_frame_into(
                 decoder,
@@ -1023,7 +1003,6 @@ fn recover_shard(dir: &Path, scalar: bool) -> io::Result<Recovered> {
                 &mut sketches,
                 stream.scenario(),
                 class,
-                scalar,
                 &mut column,
                 &mut samples,
                 &bytes,
@@ -1233,7 +1212,7 @@ mod tests {
 
     #[test]
     fn routing_is_stable_and_key_sensitive() {
-        let set = ShardSet::start(&config(4), None, false).unwrap();
+        let set = ShardSet::start(&config(4), None).unwrap();
         let a = set.route("client-1", "fig5");
         assert_eq!(a, set.route("client-1", "fig5"));
         let distinct = (0..32)
@@ -1247,7 +1226,7 @@ mod tests {
     fn upload_folds_to_the_exact_corpus_sketch() {
         let corpus = idle_corpus(30_000, 0xf01d, 40);
         let expect = crate::pipeline::fold_corpus(&corpus, 4096, EventClass::Keystroke, false);
-        let set = ShardSet::start(&config(2), None, false).unwrap();
+        let set = ShardSet::start(&config(2), None).unwrap();
         let stream = keyed("c", "fig5");
         let shard = set.route("c", "fig5");
         let frames = frames_of(&corpus, 4096);
@@ -1283,7 +1262,6 @@ mod tests {
                 publish_every: u64::MAX,
             },
             None,
-            false,
         )
         .unwrap();
         let stream = keyed("c", "flood");
@@ -1324,7 +1302,7 @@ mod tests {
     fn resume_dedupes_and_replays_the_done_verdict() {
         let corpus = idle_corpus(10_000, 0x5e5e, 64);
         let frames = frames_of(&corpus, 8192);
-        let set = ShardSet::start(&config(1), None, false).unwrap();
+        let set = ShardSet::start(&config(1), None).unwrap();
         let stream = keyed("c", "dup");
         let (rx, base) = begin(&set, 0, &stream, BeginMode::Fresh);
         assert_eq!(base, 0);
@@ -1353,7 +1331,7 @@ mod tests {
 
     #[test]
     fn seq_gaps_are_rejected() {
-        let set = ShardSet::start(&config(1), None, false).unwrap();
+        let set = ShardSet::start(&config(1), None).unwrap();
         let stream = keyed("c", "gap");
         let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
         let corpus = idle_corpus(1_000, 0x11, 0);
@@ -1380,7 +1358,7 @@ mod tests {
         let frames = frames_of(&corpus, 4096);
         let half = frames.len() / 2;
 
-        let set = ShardSet::start(&config(1), Some(&tmp.wal()), false).unwrap();
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
         let stream = keyed("c", "fig5");
         let (rx, base) = begin(&set, 0, &stream, BeginMode::Fresh);
         assert_eq!(base, 0);
@@ -1410,7 +1388,7 @@ mod tests {
 
         // Restart: recovery must rebuild exactly the fold of the acked
         // prefix — frames [0, acked), in order.
-        let set = ShardSet::start(&config(1), Some(&tmp.wal()), false).unwrap();
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
         assert!(
             set.recovery().frames >= acked,
             "replayed {:?}",
@@ -1427,7 +1405,6 @@ mod tests {
                 &mut expect,
                 "fig5",
                 Some(EventClass::Keystroke),
-                false,
                 &mut col,
                 &mut smp,
                 frame,
@@ -1468,7 +1445,7 @@ mod tests {
         let tmp = TempDir::new("drain");
         let corpus = idle_corpus(20_000, 0xd7a1, 64);
         let frames = frames_of(&corpus, 4096);
-        let set = ShardSet::start(&config(2), Some(&tmp.wal()), false).unwrap();
+        let set = ShardSet::start(&config(2), Some(&tmp.wal())).unwrap();
         let stream = keyed("c", "fig5");
         let shard = set.route("c", "fig5");
         let (rx, _) = begin(&set, shard, &stream, BeginMode::Fresh);
@@ -1478,7 +1455,7 @@ mod tests {
         ));
         set.drain_and_join();
         // A clean restart loads the checkpoint and replays zero records.
-        let set = ShardSet::start(&config(2), Some(&tmp.wal()), false).unwrap();
+        let set = ShardSet::start(&config(2), Some(&tmp.wal())).unwrap();
         let rec = set.recovery();
         assert!(rec.checkpoints >= 1);
         assert_eq!(rec.frames, 0, "drain left WAL records: {rec:?}");
@@ -1493,6 +1470,66 @@ mod tests {
     }
 
     #[test]
+    fn scalar_mode_checkpoints_resume_on_the_batch_path() {
+        // Checkpoints keep the decoder's scalar byte, and logs written by
+        // a server that still had a scalar ingest mode may carry it set.
+        // Recovery must resume such a stream on the batch path and fold
+        // every remaining sample.
+        let tmp = TempDir::new("scalar-ckpt");
+        let corpus = idle_corpus(20_000, 0x5ca1, 64);
+        let frames = frames_of(&corpus, 4096);
+        let half = frames.len() / 2;
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        let stream = keyed("c", "old");
+        let (_rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+        for (i, frame) in frames[..half].iter().enumerate() {
+            send_retry(
+                &set,
+                0,
+                Msg::Frame {
+                    stream: stream.clone(),
+                    seq: 1 + i as u64,
+                    bytes: frame.clone(),
+                },
+            );
+        }
+        set.drain_and_join();
+
+        let dir = tmp.wal().shard_dir(0);
+        let mut ckpt = crate::wal::load_checkpoint(&dir)
+            .unwrap()
+            .expect("drain checkpoint");
+        let mut in_flight = 0;
+        for s in &mut ckpt.streams {
+            if let Some(d) = &mut s.decoder {
+                d.scalar = true;
+                in_flight += 1;
+            }
+        }
+        assert_eq!(
+            in_flight, 1,
+            "the half-sent upload is checkpointed mid-stream"
+        );
+        crate::wal::write_checkpoint(&dir, &ckpt).unwrap();
+
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        let (rx, watermark) = begin(&set, 0, &stream, BeginMode::Continue(0));
+        assert_eq!(watermark, half as u64);
+        match upload_tail(&set, 0, &stream, &rx, &frames, 0, half) {
+            Reply::Done { records, .. } => assert_eq!(records, 20_000),
+            other => panic!("expected Done, got {other:?}"),
+        }
+        set.drain_and_join();
+        let whole = crate::pipeline::fold_corpus(&corpus, 4096, EventClass::Keystroke, true);
+        let (_, merged) = set.merged_full();
+        assert_eq!(merged["old"].total(), whole.sketch.total());
+        assert_eq!(
+            merged["old"].class(EventClass::Keystroke).stats().mean(),
+            whole.sketch.class(EventClass::Keystroke).stats().mean()
+        );
+    }
+
+    #[test]
     fn publish_shares_clean_scenarios_and_detaches_dirty_ones() {
         let set = ShardSet::start(
             &ShardConfig {
@@ -1501,7 +1538,6 @@ mod tests {
                 publish_every: 1, // every folded frame publishes
             },
             None,
-            false,
         )
         .unwrap();
         let corpus = idle_corpus(5_000, 0xab, 16);
@@ -1540,7 +1576,7 @@ mod tests {
 
     #[test]
     fn workers_recycle_frame_buffers() {
-        let set = ShardSet::start(&config(1), None, false).unwrap();
+        let set = ShardSet::start(&config(1), None).unwrap();
         let corpus = idle_corpus(1_000, 0x77, 0);
         let stream = keyed("c", "s");
         let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
@@ -1587,7 +1623,6 @@ mod tests {
                 publish_every: 100,
             },
             None,
-            false,
         )
         .unwrap();
         let corpus = idle_corpus(2_000, 0x99, 8);

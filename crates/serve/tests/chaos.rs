@@ -80,7 +80,6 @@ fn resumable_uploads_survive_injected_faults_exactly_once() {
         },
         read_timeout: Duration::from_secs(2),
         busy_retry: Duration::from_millis(100),
-        scalar_ingest: false,
         wal: Some(WalConfig::new(&tmp.0)),
     })
     .expect("start server");

@@ -28,6 +28,8 @@ fn usage_errors_exit_2() {
         (SERVE, &["--shards"]),
         (SERVE, &["--shards", "zebra"]),
         (SERVE, &["--shards", "0"]),
+        // The server has one ingest path; the old scalar switch is gone.
+        (SERVE, &["--scalar-ingest"]),
         (SLAM, &[]),
         (SLAM, &["--no-such-flag"]),
         (SLAM, &["not-an-address:-1"]),

@@ -8,7 +8,9 @@
 //!   uploads and queries proceed;
 //! * `SNAPSHOT` reads taken *during* ingest are internally consistent:
 //!   counts and epochs never go backwards;
-//! * a full shard queue surfaces as `BUSY`, not as hidden buffering.
+//! * a full shard queue surfaces as `BUSY`, not as hidden buffering;
+//! * the served (columnar batch) fold is bit-identical to the scalar
+//!   reference pipeline run in-process over the same bytes.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -19,8 +21,8 @@ use std::time::Duration;
 
 use latlab_analysis::{EventClass, PerceptionModel};
 use latlab_serve::{
-    slam::synthetic_corpus, upload, PutHeader, QueryClient, ServeConfig, Server, ShardConfig,
-    UploadOutcome,
+    fold_corpus, slam::synthetic_corpus, upload, PutHeader, QueryClient, ServeConfig, Server,
+    ShardConfig, UploadOutcome,
 };
 use latlab_trace::{Record, TraceReader};
 use serde::Deserialize;
@@ -31,7 +33,6 @@ fn test_server(shard: ShardConfig) -> Server {
         shard,
         read_timeout: Duration::from_secs(2),
         busy_retry: Duration::from_millis(50),
-        scalar_ingest: false,
         wal: None,
     })
     .expect("start server")
@@ -271,7 +272,6 @@ fn full_queue_answers_busy() {
         },
         read_timeout: Duration::from_secs(2),
         busy_retry: Duration::ZERO,
-        scalar_ingest: false,
         wal: None,
     })
     .expect("start server");
@@ -310,42 +310,35 @@ fn full_queue_answers_busy() {
 
 #[test]
 fn batch_and_scalar_ingest_fold_identically() {
-    // The same corpus through the columnar batch path and the scalar
-    // reference path must land in bit-identical sketches: same counts,
-    // same misses, same quantiles, same moments. Single shard and a
-    // single uploader keep fold order deterministic on both servers.
-    let corpus: Vec<Vec<u8>> = (0..3)
-        .map(|i| synthetic_corpus(15_000, 0xe100 + i as u64, 40))
-        .collect();
-    let run = |scalar: bool| {
-        let server = Server::start(ServeConfig {
-            bind: "127.0.0.1:0".to_owned(),
-            shard: ShardConfig {
-                shards: 1,
-                queue_depth: 256,
-                publish_every: 5_000,
-            },
-            read_timeout: Duration::from_secs(2),
-            busy_retry: Duration::from_millis(200),
-            scalar_ingest: scalar,
-            wal: None,
-        })
-        .expect("start server");
-        let addr = server.local_addr();
-        for blob in &corpus {
-            let outcome = upload(addr, &put("eq", "c0"), blob, 8 * 1024).expect("upload");
-            assert!(matches!(outcome, UploadOutcome::Done { .. }), "{outcome:?}");
-        }
-        let (_, mut merged) = server.join();
-        merged.remove("eq").expect("scenario folded")
-    };
-    let batch = run(false);
-    let scalar = run(true);
-    assert_eq!(batch.total(), scalar.total());
-    assert_eq!(batch.total_misses(), scalar.total_misses());
+    // The server's columnar batch ingest path must land in a sketch
+    // bit-identical to the per-record scalar reference pipeline run
+    // in-process over the same bytes: same counts, same misses, same
+    // quantiles, same moments. One shard and one upload keep the
+    // server's fold order deterministic.
+    let corpus = synthetic_corpus(45_000, 0xe100, 40);
+    let server = Server::start(ServeConfig {
+        bind: "127.0.0.1:0".to_owned(),
+        shard: ShardConfig {
+            shards: 1,
+            queue_depth: 256,
+            publish_every: 5_000,
+        },
+        read_timeout: Duration::from_secs(2),
+        busy_retry: Duration::from_millis(200),
+        wal: None,
+    })
+    .expect("start server");
+    let outcome = upload(server.local_addr(), &put("eq", "c0"), &corpus, 8 * 1024).expect("upload");
+    assert!(matches!(outcome, UploadOutcome::Done { .. }), "{outcome:?}");
+    let (_, mut merged) = server.join();
+    let served = merged.remove("eq").expect("scenario folded");
+    let oracle = fold_corpus(&corpus, 8 * 1024, EventClass::Keystroke, true).sketch;
+    assert!(oracle.total() > 0);
+    assert_eq!(served.total(), oracle.total());
+    assert_eq!(served.total_misses(), oracle.total_misses());
     let (b, s) = (
-        batch.class(EventClass::Keystroke),
-        scalar.class(EventClass::Keystroke),
+        served.class(EventClass::Keystroke),
+        oracle.class(EventClass::Keystroke),
     );
     assert_eq!(b.stats().mean(), s.stats().mean(), "mean bit-identical");
     assert_eq!(b.stats().min(), s.stats().min());

@@ -50,7 +50,6 @@ fn wal_server(dir: &std::path::Path) -> Server {
         },
         read_timeout: Duration::from_secs(2),
         busy_retry: Duration::from_millis(100),
-        scalar_ingest: false,
         wal: Some(WalConfig::new(dir)),
     })
     .expect("start server")

@@ -27,9 +27,9 @@
 //! path disabled: idle stamps decode one record at a time through the
 //! same per-record codec as every other stream kind, materializing a
 //! `Record::Stamp` in the ready queue per stamp. That is the decoder's
-//! original shape, kept as the measured reference the batch path is
-//! compared against (`latlab-perf-v2`'s ingest section, the server's
-//! `--scalar-ingest` flag).
+//! original shape, kept as the test oracle and measured reference the
+//! batch path is compared against (the perf harness's in-process
+//! pipeline speedup, the serve equivalence tests).
 //!
 //! The decode rules are identical to [`TraceReader`](crate::TraceReader):
 //! same CRC checks, same monotonicity validation, same structural limits
