@@ -4,13 +4,17 @@
 //! modest session is hundreds of thousands of records; the format has to
 //! encode at memory speed to keep `--record` out of the measurement's
 //! way. These benchmarks push 100k-record streams of each kind through
-//! the writer and reader.
+//! the writer and reader, and time the server's ingest decode on an
+//! idle corpus: the column path (`feed` + `poll_batch` + a gap walk)
+//! against the fused gap kernel (`feed_gaps`).
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use latlab_des::{CpuFreq, SimDuration};
-use latlab_trace::{ApiRecord, Record, StreamKind, TraceMeta, TraceReader, TraceWriter};
+use latlab_trace::{
+    ApiRecord, Record, StreamDecoder, StreamKind, TraceMeta, TraceReader, TraceWriter,
+};
 
 const N: u64 = 100_000;
 
@@ -23,6 +27,9 @@ fn meta(kind: StreamKind) -> TraceMeta {
         personality: "bench/trace-format".to_owned(),
     }
 }
+
+/// Upload frame size: the 64 KiB frames the server receives.
+const FRAME: usize = 64 * 1024;
 
 /// Deterministic idle-loop-shaped stamps: ~1 ms strides with occasional
 /// elongations (varint lengths vary like real traces).
@@ -86,6 +93,44 @@ fn bench_trace_format(c: &mut Criterion) {
                 n += 1;
             }
             n
+        })
+    });
+
+    // An idle corpus as the server sees it: 15 in 16 gaps at exact
+    // baseline pace, the rest jittered, a multi-ms event every 64.
+    let idle = latlab_serve::idle_corpus(N, 0x1d1e, 64);
+    g.bench_function("idle_column_gaps_100k", |b| {
+        let (mut column, mut excess) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            let mut d = StreamDecoder::new();
+            let mut last: Option<u64> = None;
+            excess.clear();
+            for frame in black_box(&idle).chunks(FRAME) {
+                d.feed(frame).unwrap();
+                column.clear();
+                d.poll_batch(&mut column);
+                let baseline = d.meta().unwrap().baseline.cycles();
+                for &at in &column {
+                    if let Some(prev) = last {
+                        if at - prev > baseline {
+                            excess.push(at - prev - baseline);
+                        }
+                    }
+                    last = Some(at);
+                }
+            }
+            excess.len()
+        })
+    });
+    g.bench_function("idle_fused_gaps_100k", |b| {
+        let mut excess = Vec::new();
+        b.iter(|| {
+            let mut d = StreamDecoder::new();
+            excess.clear();
+            for frame in black_box(&idle).chunks(FRAME) {
+                d.feed_gaps(frame, &mut excess).unwrap();
+            }
+            excess.len()
         })
     });
 

@@ -4,31 +4,29 @@
 //!
 //! Two shapes of the same pipeline live here:
 //!
+//! * the **fused path** the server runs ([`fold_frame`]):
+//!   [`StreamDecoder::feed_gaps`] decodes each frame straight to the
+//!   excess cycles of over-baseline stamp gaps, skipping baseline-pace
+//!   runs without storing a stamp, and the excess folds through
+//!   [`LatencySketch::update_batch`] a stack-sized batch at a time;
 //! * the **scalar reference path**: a [`StreamDecoder::new_scalar`]
 //!   decoder materializes one `Record` per stamp, [`StreamDecoder::poll`]
 //!   hands them back one at a time, each stamp gap becomes at most one
 //!   sample, and every sample updates the [`LatencySketch`] individually
-//!   — exactly the shape the service shipped with, kept here as the
-//!   in-process test oracle (the server itself runs only the batch path);
-//! * the **columnar batch path**: [`StreamDecoder::poll_batch`] drains
-//!   whole decoded chunks into a stamp column, gaps are converted in one
-//!   tight loop, and samples fold through
-//!   [`LatencySketch::update_batch`] a batch at a time.
+//!   — exactly the shape the service shipped with, kept as the
+//!   in-process test oracle.
 //!
 //! [`fold_corpus`] runs either shape start-to-finish over a `.ltrc` byte
 //! stream; the perf harness times both over the same corpus to report
-//! the batch-over-scalar speedup, and the tests assert the two produce
+//! the fused-over-scalar speedup, and the tests assert the two produce
 //! bit-identical sketches.
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_trace::{StreamDecoder, StreamKind};
+use latlab_des::SimDuration;
+use latlab_trace::{StreamDecoder, StreamKind, TraceError};
 
-/// Samples accumulated before a batch is offered to a shard (or, here,
-/// folded into the sketch). Large enough to amortize channel traffic,
-/// small enough that snapshots stay fresh during a long upload.
-pub(crate) const INGEST_BATCH: usize = 4096;
-
-/// Per-connection trace-record → latency-sample conversion.
+/// Per-connection trace-record → latency-sample conversion, one record
+/// at a time: the scalar reference for [`fold_frame`].
 ///
 /// * `IdleStamps`: consecutive stamp gaps are compared to the trace's
 ///   calibrated baseline interval; any *excess* is event-handling time
@@ -46,18 +44,8 @@ impl SampleExtractor {
         SampleExtractor { prev_stamp: None }
     }
 
-    /// Rebuilds an extractor from a checkpointed previous stamp.
-    pub(crate) fn with_prev(prev_stamp: Option<u64>) -> Self {
-        SampleExtractor { prev_stamp }
-    }
-
-    /// The previous stamp, for checkpointing mid-stream state.
-    pub(crate) fn prev(&self) -> Option<u64> {
-        self.prev_stamp
-    }
-
     /// Drains decoded records into `out` as latency samples, one record
-    /// at a time (the scalar reference path).
+    /// at a time.
     pub(crate) fn pull(&mut self, decoder: &mut StreamDecoder, out: &mut Vec<f64>) {
         let Some(meta) = decoder.meta().cloned() else {
             return;
@@ -72,50 +60,50 @@ impl SampleExtractor {
             if let Some(prev) = self.prev_stamp {
                 let gap = at.saturating_sub(prev);
                 if gap > baseline {
-                    let excess = latlab_des::SimDuration::from_cycles(gap - baseline);
+                    let excess = SimDuration::from_cycles(gap - baseline);
                     out.push(meta.freq.to_ms(excess));
                 }
             }
             self.prev_stamp = Some(at);
         }
     }
+}
 
-    /// Columnar variant of [`pull`](Self::pull): drains the decoder's
-    /// whole stamp column at once, then converts gaps to samples in one
-    /// tight loop. Uses the exact same float operations in the same
-    /// order as the scalar path, so the resulting samples are
-    /// bit-identical. Non-stamp streams fall back to the scalar drain.
-    pub(crate) fn pull_batch(
-        &mut self,
-        decoder: &mut StreamDecoder,
-        column: &mut Vec<u64>,
-        out: &mut Vec<f64>,
-    ) {
-        let Some(meta) = decoder.meta().cloned() else {
-            return;
-        };
-        if meta.kind != StreamKind::IdleStamps {
-            while decoder.poll().is_some() {}
-            return;
-        }
-        column.clear();
-        if decoder.poll_batch(column) == 0 {
-            return;
-        }
-        let baseline = meta.baseline.cycles();
-        let mut prev = self.prev_stamp;
-        for &at in column.iter() {
-            if let Some(p) = prev {
-                let gap = at.saturating_sub(p);
-                if gap > baseline {
-                    let excess = latlab_des::SimDuration::from_cycles(gap - baseline);
-                    out.push(meta.freq.to_ms(excess));
-                }
-            }
-            prev = Some(at);
-        }
-        self.prev_stamp = prev;
+/// Decodes one frame through the fused gap kernel and folds its samples
+/// into the sketch `sketch` returns — asked for only when the frame
+/// yielded a sample. `excess` is caller-owned scratch, so a steady-state
+/// frame allocates nothing. Returns the samples folded.
+///
+/// Uses the same float operations, in the same order, as
+/// [`SampleExtractor::pull`] + one [`LatencySketch::push`] per sample,
+/// so the sketch is bit-identical to the scalar reference.
+///
+/// # Errors
+///
+/// The decoder's error; a frame that fails to decode folds none of its
+/// samples (the decoder is poisoned, and the caller fails the upload).
+pub(crate) fn fold_frame<'a>(
+    decoder: &mut StreamDecoder,
+    excess: &mut Vec<u64>,
+    bytes: &[u8],
+    class: EventClass,
+    sketch: impl FnOnce() -> &'a mut LatencySketch,
+) -> Result<u64, TraceError> {
+    excess.clear();
+    decoder.feed_gaps(bytes, excess)?;
+    if excess.is_empty() {
+        return Ok(0);
     }
+    let freq = decoder.meta().expect("stamp gaps follow a header").freq;
+    let sketch = sketch();
+    let mut ms = [0f64; 512];
+    for cycles in excess.chunks(ms.len()) {
+        for (m, &c) in ms.iter_mut().zip(cycles) {
+            *m = freq.to_ms(SimDuration::from_cycles(c));
+        }
+        sketch.update_batch(class, &ms[..cycles.len()]);
+    }
+    Ok(excess.len() as u64)
 }
 
 /// What one [`fold_corpus`] pass produced.
@@ -136,11 +124,11 @@ pub struct FoldOutcome {
 /// `frame_len`-byte fragments as a socket would deliver it.
 ///
 /// `scalar` selects the per-record reference path (`poll` + one
-/// [`LatencySketch::push`] per sample); otherwise the columnar batch
-/// path runs (`poll_batch` + [`LatencySketch::update_batch`] every
-/// [`INGEST_BATCH`] samples). Both fold orders are identical, so the
-/// returned sketches are bit-identical — the perf harness times the two
-/// over the same corpus for the batch-over-scalar figure.
+/// [`LatencySketch::push`] per sample); otherwise the server's fused
+/// path runs ([`fold_frame`] per fragment). Both fold orders are
+/// identical, so the returned sketches are bit-identical — the perf
+/// harness times the two over the same corpus for the
+/// fused-over-scalar figure.
 ///
 /// # Panics
 ///
@@ -160,36 +148,22 @@ pub fn fold_corpus(
     };
     let mut extractor = SampleExtractor::new();
     let mut sketch = LatencySketch::new();
-    let mut column: Vec<u64> = Vec::new();
-    let mut pending: Vec<f64> = Vec::with_capacity(INGEST_BATCH);
+    let mut pending: Vec<f64> = Vec::new();
+    let mut excess: Vec<u64> = Vec::new();
     let mut samples = 0u64;
     for frame in corpus.chunks(frame_len) {
-        decoder.feed(frame).expect("valid corpus");
         if scalar {
+            decoder.feed(frame).expect("valid corpus");
             extractor.pull(&mut decoder, &mut pending);
             for &ms in &pending {
                 sketch.push(class, ms);
             }
+            samples += pending.len() as u64;
+            pending.clear();
         } else {
-            extractor.pull_batch(&mut decoder, &mut column, &mut pending);
-            if pending.len() >= INGEST_BATCH {
-                sketch.update_batch(class, &pending);
-            } else {
-                continue;
-            }
+            samples += fold_frame(&mut decoder, &mut excess, frame, class, || &mut sketch)
+                .expect("valid corpus");
         }
-        samples += pending.len() as u64;
-        pending.clear();
-    }
-    if !pending.is_empty() {
-        if scalar {
-            for &ms in &pending {
-                sketch.push(class, ms);
-            }
-        } else {
-            sketch.update_batch(class, &pending);
-        }
-        samples += pending.len() as u64;
     }
     assert!(
         decoder.is_clean_boundary(),

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use latlab_analysis::{EventClass, LatencySketch};
 use latlab_trace::{BufferPool, DecoderState, StreamDecoder};
 
-use crate::pipeline::SampleExtractor;
+use crate::pipeline::fold_frame;
 use crate::wal::{
     load_checkpoint, replay, write_checkpoint, Checkpoint, RecoveryStats, ShardWal, StreamCkpt,
     StreamId, WalConfig, WalRecord,
@@ -305,8 +305,7 @@ impl ShardSet {
                 streams,
                 epoch,
                 since_publish: 0,
-                column: Vec::new(),
-                samples: Vec::new(),
+                excess: Vec::new(),
                 replies: Vec::new(),
             };
             let join = std::thread::Builder::new()
@@ -465,9 +464,9 @@ struct StreamState {
     /// for a duplicate end frame).
     done_records: u64,
     done_bytes: u64,
-    /// Mid-upload decoder; `None` between uploads.
+    /// Mid-upload decoder; `None` between uploads. Its last stamp is
+    /// the gap anchor across frames (and checkpoints).
     decoder: Option<StreamDecoder>,
-    extractor: SampleExtractor,
     /// The attached connection, if any (latest `Begin` wins).
     reply: Option<Sender<Reply>>,
     /// Frames committed since the last ack was sent.
@@ -485,7 +484,6 @@ impl StreamState {
             done_records: 0,
             done_bytes: 0,
             decoder: None,
-            extractor: SampleExtractor::new(),
             reply: None,
             ack_dirty: false,
             errored: false,
@@ -494,26 +492,24 @@ impl StreamState {
 }
 
 /// Decode one frame into samples and fold them — the single pipeline
-/// both live ingest and WAL replay run.
-#[allow(clippy::too_many_arguments)]
+/// both live ingest and WAL replay run. The scenario's key is allocated
+/// only on its first sample, never per frame.
 fn fold_frame_into(
     decoder: &mut StreamDecoder,
-    extractor: &mut SampleExtractor,
     sketches: &mut HashMap<String, Arc<LatencySketch>>,
     scenario: &str,
     class: Option<EventClass>,
-    column: &mut Vec<u64>,
-    samples: &mut Vec<f64>,
+    excess: &mut Vec<u64>,
     bytes: &[u8],
 ) -> Result<u64, String> {
-    decoder.feed(bytes).map_err(|e| format!("trace: {e}"))?;
-    samples.clear();
-    extractor.pull_batch(decoder, column, samples);
-    if !samples.is_empty() {
-        Arc::make_mut(sketches.entry(scenario.to_owned()).or_default())
-            .update_batch(class.unwrap_or(EventClass::Background), samples);
-    }
-    Ok(samples.len() as u64)
+    let class = class.unwrap_or(EventClass::Background);
+    fold_frame(decoder, excess, bytes, class, || {
+        if !sketches.contains_key(scenario) {
+            sketches.insert(scenario.to_owned(), Arc::default());
+        }
+        Arc::make_mut(sketches.get_mut(scenario).expect("inserted above"))
+    })
+    .map_err(|e| format!("trace: {e}"))
 }
 
 /// One shard worker: owns the streams, the sketches, and the log.
@@ -529,8 +525,8 @@ struct Worker {
     streams: HashMap<StreamId, StreamState>,
     epoch: u64,
     since_publish: u64,
-    column: Vec<u64>,
-    samples: Vec<f64>,
+    /// Fused-kernel output scratch, reused across frames.
+    excess: Vec<u64>,
     /// Replies held back until the commit point (WAL flush): `DONE` and
     /// `ERR` must not outrun durability.
     replies: Vec<(Sender<Reply>, Reply)>,
@@ -634,7 +630,6 @@ impl Worker {
         match mode {
             BeginMode::Fresh => {
                 state.decoder = None;
-                state.extractor = SampleExtractor::new();
             }
             BeginMode::Continue(base) => {
                 if base > state.last_seq {
@@ -649,7 +644,6 @@ impl Worker {
                     // Nothing of the continued upload was committed; any
                     // decoder here belongs to an abandoned predecessor.
                     state.decoder = None;
-                    state.extractor = SampleExtractor::new();
                 }
                 // base < last_seq: keep the mid-trace state and let the
                 // client skip to the watermark.
@@ -696,12 +690,10 @@ impl Worker {
         let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
         let folded = fold_frame_into(
             decoder,
-            &mut state.extractor,
             &mut self.sketches,
             stream.scenario(),
             state.class,
-            &mut self.column,
-            &mut self.samples,
+            &mut self.excess,
             &bytes,
         );
         match folded {
@@ -807,7 +799,6 @@ impl Worker {
         state.done_records = records;
         state.done_bytes = bytes;
         state.decoder = None;
-        state.extractor = SampleExtractor::new();
         if resume {
             state.ack_dirty = true;
         }
@@ -890,7 +881,7 @@ impl Worker {
                 last_seq: state.last_seq,
                 done_records: state.done_records,
                 done_bytes: state.done_bytes,
-                prev_stamp: state.extractor.prev(),
+                prev_stamp: decoder.as_ref().filter(|d| d.any_read).map(|d| d.prev_at),
                 decoder,
             });
         }
@@ -972,12 +963,10 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
             state.decoder = s
                 .decoder
                 .map(|d| StreamDecoder::restore(DecoderState { scalar: false, ..d }));
-            state.extractor = SampleExtractor::with_prev(s.prev_stamp);
             streams.insert(s.id, state);
         }
     }
-    let mut column: Vec<u64> = Vec::new();
-    let mut samples: Vec<f64> = Vec::new();
+    let mut excess: Vec<u64> = Vec::new();
     let (rstats, next_lsn) = replay(dir, after_lsn, |_lsn, rec| match rec {
         WalRecord::Frame {
             stream,
@@ -999,12 +988,10 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
             let before = decoder.records_decoded();
             match fold_frame_into(
                 decoder,
-                &mut state.extractor,
                 &mut sketches,
                 stream.scenario(),
                 class,
-                &mut column,
-                &mut samples,
+                &mut excess,
                 &bytes,
             ) {
                 Ok(folded) => {
@@ -1037,7 +1024,6 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
                 state.done_records = records;
                 state.done_bytes = bytes;
                 state.decoder = None;
-                state.extractor = SampleExtractor::new();
             }
         }
     })?;
@@ -1395,18 +1381,15 @@ mod tests {
             set.recovery()
         );
         let mut expect_decoder = StreamDecoder::new();
-        let mut expect_extractor = SampleExtractor::new();
         let mut expect: HashMap<String, Arc<LatencySketch>> = HashMap::new();
-        let (mut col, mut smp) = (Vec::new(), Vec::new());
+        let mut excess = Vec::new();
         for frame in &frames[..acked as usize] {
             fold_frame_into(
                 &mut expect_decoder,
-                &mut expect_extractor,
                 &mut expect,
                 "fig5",
                 Some(EventClass::Keystroke),
-                &mut col,
-                &mut smp,
+                &mut excess,
                 frame,
             )
             .unwrap();
@@ -1644,5 +1627,149 @@ mod tests {
             last_epoch = epoch;
         }
         set.drain_and_join();
+    }
+
+    /// Heap allocations made by the current thread, counted by the
+    /// test binary's global allocator.
+    mod alloc_count {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        // SAFETY: every call forwards to `System` with the caller's own
+        // arguments; the counter is a const-initialized thread-local
+        // `Cell`, which never allocates.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                // SAFETY: forwarded unchanged; the caller upholds
+                // `GlobalAlloc::alloc`'s contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System` via `alloc` or
+                // `realloc` above, with this `layout`.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                // SAFETY: as for `dealloc`; the caller upholds
+                // `GlobalAlloc::realloc`'s contract for `new_size`.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+
+        /// Allocations (and reallocations) this thread has made so far.
+        pub(crate) fn on_this_thread() -> u64 {
+            ALLOCS.with(Cell::get)
+        }
+    }
+
+    #[test]
+    fn steady_state_ingest_frames_allocate_nothing() {
+        let corpus = idle_corpus(400_000, 0xa110c, 64);
+        let frames = frames_of(&corpus, 64 * 1024);
+        assert!(frames.len() > 8, "corpus too small to reach steady state");
+        let mut decoder = StreamDecoder::new();
+        let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
+        let mut excess = Vec::new();
+        let mut fold = |frame: &[u8]| {
+            fold_frame_into(
+                &mut decoder,
+                &mut sketches,
+                "fig5",
+                Some(EventClass::Keystroke),
+                &mut excess,
+                frame,
+            )
+            .unwrap()
+        };
+        // Warm-up: the header, the scenario's first insert, and the
+        // carry and excess buffers growing to their working size.
+        let (warm, steady) = frames.split_at(4);
+        for frame in warm {
+            fold(frame);
+        }
+        let mut folded = 0;
+        for (i, frame) in steady.iter().enumerate() {
+            let before = alloc_count::on_this_thread();
+            folded += fold(frame);
+            let allocs = alloc_count::on_this_thread() - before;
+            assert_eq!(allocs, 0, "steady-state frame {i} allocated {allocs} times");
+        }
+        assert!(folded > 0, "the steady frames folded no samples");
+    }
+
+    #[test]
+    fn a_frame_that_fails_to_decode_folds_none_of_its_samples() {
+        use latlab_trace::{crc32, StreamKind, TraceMeta, TraceWriter};
+
+        let meta = TraceMeta {
+            kind: StreamKind::IdleStamps,
+            freq: latlab_des::CpuFreq::PENTIUM_100,
+            baseline: latlab_des::SimDuration::from_cycles(250),
+            seed: 7,
+            personality: "bad-frame".to_owned(),
+        };
+        let header = TraceWriter::create(Vec::new(), meta)
+            .unwrap()
+            .finish()
+            .unwrap();
+        // One chunk under a valid CRC: two over-baseline gaps decode
+        // before a zero delta fails the chunk.
+        let chunk = |deltas: &[u64]| {
+            let mut payload = Vec::new();
+            for &d in deltas {
+                let mut v = d;
+                while v >= 0x80 {
+                    payload.push((v as u8) | 0x80);
+                    v >>= 7;
+                }
+                payload.push(v as u8);
+            }
+            let mut bytes = (deltas.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes
+        };
+        let mut good = header.clone();
+        good.extend(chunk(&[1_000, 250, 900]));
+        let bad = chunk(&[250, 5_000, 700, 0, 250]);
+
+        let mut decoder = StreamDecoder::new();
+        let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
+        let mut excess = Vec::new();
+        let class = Some(EventClass::Keystroke);
+        let folded =
+            fold_frame_into(&mut decoder, &mut sketches, "s", class, &mut excess, &good).unwrap();
+        assert_eq!(folded, 1);
+        let err = fold_frame_into(&mut decoder, &mut sketches, "s", class, &mut excess, &bad)
+            .unwrap_err();
+        assert!(err.contains("strictly increasing"), "{err}");
+        assert_eq!(
+            excess.len(),
+            2,
+            "the kernel decoded two gaps before failing"
+        );
+        assert_eq!(sketches["s"].total(), 1, "the failed frame folded samples");
+
+        // A failing first frame creates no scenario at all.
+        let mut fresh = StreamDecoder::new();
+        let mut none: HashMap<String, Arc<LatencySketch>> = HashMap::new();
+        let mut first = header;
+        first.extend(chunk(&[1_000, 900, 0]));
+        assert!(fold_frame_into(&mut fresh, &mut none, "s", class, &mut excess, &first).is_err());
+        assert!(none.is_empty());
     }
 }

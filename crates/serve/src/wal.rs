@@ -12,7 +12,7 @@
 //! * **Checkpoints** (`ckpt-<last_lsn>.ckpt`): an epoch snapshot of the
 //!   shard's state — every scenario sketch (via
 //!   [`LatencySketch::encode`]) plus every live upload stream's resume
-//!   state (committed seq, mid-trace [`DecoderState`], extractor stamp)
+//!   state (committed seq, mid-trace [`DecoderState`], last stamp)
 //!   — written to a temp file and atomically renamed, with a trailing
 //!   CRC-32 over the whole image.
 //!
@@ -549,7 +549,8 @@ pub struct StreamCkpt {
     pub done_records: u64,
     /// Bytes reported by the last completed upload's `DONE`.
     pub done_bytes: u64,
-    /// Sample extractor's previous stamp, if mid-trace.
+    /// The decoder's last stamp, if mid-trace. Written for the format's
+    /// sake; recovery resumes the gap anchor from `decoder` itself.
     pub prev_stamp: Option<u64>,
     /// Mid-trace decoder state, if an upload is in flight.
     pub decoder: Option<DecoderState>,

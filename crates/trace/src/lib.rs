@@ -20,9 +20,11 @@
 //!   transports that deliver the same byte stream in arbitrary fragments
 //!   (sockets): partial headers and chunks are buffered until complete,
 //!   with the exact validation the file reader performs. Idle-stamp
-//!   streams decode columnarly — a whole chunk per pass, drained through
-//!   [`StreamDecoder::poll_batch`] — with [`BufferPool`] recycling the
-//!   frame and column buffers so steady-state ingest allocates nothing;
+//!   streams decode a whole chunk per pass: straight to latency (the
+//!   excess of each over-baseline gap) through
+//!   [`StreamDecoder::feed_gaps`], or into a stamp column drained by
+//!   [`StreamDecoder::poll_batch`]; [`BufferPool`] recycles frame
+//!   buffers, so the ingest path does not allocate one per frame;
 //! - the shared record [`codec`], the single implementation of the
 //!   chunk-payload layout that every decoder above calls into.
 //!

@@ -1,12 +1,12 @@
 //! A small free-list of reusable `Vec` buffers.
 //!
-//! The ingest service moves three kinds of buffers per upload — frame
-//! payloads (`Vec<u8>`), decoded stamp columns (`Vec<u64>`), and latency
-//! sample batches (`Vec<f64>`) — and each would otherwise be allocated
-//! per connection or per batch. [`BufferPool`] recycles them: a `get`
+//! The ingest service moves a frame payload (`Vec<u8>`) from connection
+//! handler to shard worker per wire frame, and a reply buffer per query
+//! connection; each would otherwise be allocated per frame or per
+//! connection. [`BufferPool`] recycles them: a `get`
 //! hands out a cleared buffer with its old capacity intact, a `put`
 //! returns it. Once the pool has warmed up to the service's steady-state
-//! working set, ingest performs zero heap allocation per frame.
+//! working set, no frame payload is allocated afresh.
 //!
 //! The pool is deliberately simple: a mutex around a stack of vectors.
 //! The lock is held for a push or pop only, far from any hot inner loop

@@ -23,6 +23,18 @@
 //! straight out of the caller's slice and only the unconsumed tail is
 //! copied into the carry buffer.
 //!
+//! # The fused gap path
+//!
+//! A consumer that wants latency rather than stamps — the server —
+//! calls [`feed_gaps`] instead: each completed idle-stamp chunk goes
+//! through [`crate::codec::decode_stamp_gaps`], which turns every stamp
+//! gap longer than the trace's baseline into `gap − baseline` cycles and
+//! stores no stamp at all, skipping baseline-pace runs up to four
+//! records at a time. The column path above is its oracle: the property tests hold
+//! `feed_gaps` to `feed` + [`poll_batch`] + a gap walk, record for
+//! record and error for error. `feed_gaps` always takes the fused kernel,
+//! scalar decoder or not.
+//!
 //! [`StreamDecoder::new_scalar`] builds a decoder with the columnar
 //! path disabled: idle stamps decode one record at a time through the
 //! same per-record codec as every other stream kind, materializing a
@@ -39,6 +51,7 @@
 //! poisoned: further feeding returns the same error class.
 //!
 //! [`feed`]: StreamDecoder::feed
+//! [`feed_gaps`]: StreamDecoder::feed_gaps
 //! [`poll`]: StreamDecoder::poll
 //! [`poll_batch`]: StreamDecoder::poll_batch
 
@@ -172,6 +185,35 @@ impl StreamDecoder {
     /// report on the same byte stream: bad magic, CRC mismatch, corrupt
     /// fields, non-monotonic stamps. The decoder is poisoned afterwards.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
+        self.feed_into(bytes, None)
+    }
+
+    /// Accepts the next fragment like [`feed`](Self::feed), but decodes
+    /// idle stamps straight to latency through the fused kernel
+    /// ([`crate::codec::decode_stamp_gaps`]): for every stamp gap longer
+    /// than the stream's baseline, `gap − baseline` cycles are appended
+    /// to `excess`, and nothing is queued for [`poll`](Self::poll).
+    /// Records of non-stamp streams are decoded (and validated) and
+    /// discarded.
+    ///
+    /// The result equals [`feed`](Self::feed) + [`poll_batch`] + a walk
+    /// comparing each stamp to its predecessor, under any fragmentation
+    /// and on any corruption — same excess sequence, same error, same
+    /// [`records_decoded`](Self::records_decoded) and
+    /// [`export_state`](Self::export_state); the property tests assert
+    /// so. The gap anchor across calls is the decoder's own last stamp.
+    ///
+    /// # Errors
+    ///
+    /// As [`feed`](Self::feed). On error, `excess` already holds every
+    /// excess decoded before the failing record.
+    ///
+    /// [`poll_batch`]: StreamDecoder::poll_batch
+    pub fn feed_gaps(&mut self, bytes: &[u8], excess: &mut Vec<u64>) -> Result<(), TraceError> {
+        self.feed_into(bytes, Some(excess))
+    }
+
+    fn feed_into(&mut self, bytes: &[u8], gaps: Option<&mut Vec<u64>>) -> Result<(), TraceError> {
         if self.core.poisoned {
             return Err(TraceError::Corrupt {
                 what: "stream decoder already failed",
@@ -183,7 +225,7 @@ impl StreamDecoder {
             // slice; only the unconsumed tail (a partial header or
             // chunk, usually small) is copied into the carry buffer.
             let mut consumed = 0usize;
-            let r = self.core.drain(bytes, &mut consumed);
+            let r = self.core.drain(bytes, &mut consumed, gaps);
             if r.is_ok() && consumed < bytes.len() {
                 self.buf.extend_from_slice(&bytes[consumed..]);
             }
@@ -191,7 +233,7 @@ impl StreamDecoder {
         } else {
             self.buf.extend_from_slice(bytes);
             let mut consumed = 0usize;
-            let r = self.core.drain(&self.buf, &mut consumed);
+            let r = self.core.drain(&self.buf, &mut consumed, gaps);
             if consumed > 0 {
                 self.buf.drain(..consumed);
             }
@@ -315,15 +357,22 @@ pub struct DecoderState {
 
 impl DecoderCore {
     /// Decodes as many complete headers/chunks as `data[*consumed..]`
-    /// holds, advancing `*consumed` past each completed unit.
-    fn drain(&mut self, data: &[u8], consumed: &mut usize) -> Result<(), TraceError> {
+    /// holds, advancing `*consumed` past each completed unit. With
+    /// `gaps`, idle stamps go through the fused gap kernel and no record
+    /// is queued.
+    fn drain(
+        &mut self,
+        data: &[u8],
+        consumed: &mut usize,
+        mut gaps: Option<&mut Vec<u64>>,
+    ) -> Result<(), TraceError> {
         if self.meta.is_none() {
             match self.try_decode_header(data, *consumed)? {
                 Some(used) => *consumed += used,
                 None => return Ok(()),
             }
         }
-        while let Some(used) = self.try_decode_chunk(data, *consumed)? {
+        while let Some(used) = self.try_decode_chunk(data, *consumed, gaps.as_deref_mut())? {
             *consumed += used;
         }
         Ok(())
@@ -360,7 +409,12 @@ impl DecoderCore {
 
     /// Attempts to decode one framed chunk at `data[from..]`. Returns the
     /// bytes consumed, or `None` if the chunk is still partial.
-    fn try_decode_chunk(&mut self, data: &[u8], from: usize) -> Result<Option<usize>, TraceError> {
+    fn try_decode_chunk(
+        &mut self,
+        data: &[u8],
+        from: usize,
+        gaps: Option<&mut Vec<u64>>,
+    ) -> Result<Option<usize>, TraceError> {
         let avail = &data[from..];
         if avail.len() < 12 {
             return Ok(None);
@@ -387,37 +441,53 @@ impl DecoderCore {
                 chunk: self.chunks_decoded + 1,
             });
         }
-        let kind = self.meta.as_ref().expect("header precedes chunks").kind;
-        let pos = if kind == StreamKind::IdleStamps && !self.scalar {
+        let meta = self.meta.as_ref().expect("header precedes chunks");
+        let (kind, baseline) = (meta.kind, meta.baseline.cycles());
+        let pos = match gaps {
+            // Fused: the whole chunk in one pass, straight to excess
+            // cycles; no stamp is stored.
+            Some(gaps) if kind == StreamKind::IdleStamps => codec::decode_stamp_gaps(
+                payload,
+                count,
+                baseline,
+                gaps,
+                &mut self.prev_at,
+                &mut self.any_read,
+                &mut self.records_decoded,
+            )?,
             // Columnar: the whole chunk in one pass, straight into the
             // stamp column. State advances per stamp, so a mid-chunk
             // error leaves the decoded prefix pollable — exactly what
             // the scalar path leaves behind.
-            codec::decode_stamp_chunk(
+            None if kind == StreamKind::IdleStamps && !self.scalar => codec::decode_stamp_chunk(
                 payload,
                 count,
                 &mut self.stamps,
                 &mut self.prev_at,
                 &mut self.any_read,
                 &mut self.records_decoded,
-            )?
-        } else {
-            let mut pos = 0usize;
-            for _ in 0..count {
-                let rec = codec::decode_record(
-                    payload,
-                    &mut pos,
-                    kind,
-                    self.any_read,
-                    self.prev_at,
-                    self.records_decoded as usize,
-                )?;
-                self.prev_at = rec.at_cycles();
-                self.any_read = true;
-                self.records_decoded += 1;
-                self.ready.push_back(rec);
+            )?,
+            gaps => {
+                let keep = gaps.is_none();
+                let mut pos = 0usize;
+                for _ in 0..count {
+                    let rec = codec::decode_record(
+                        payload,
+                        &mut pos,
+                        kind,
+                        self.any_read,
+                        self.prev_at,
+                        self.records_decoded as usize,
+                    )?;
+                    self.prev_at = rec.at_cycles();
+                    self.any_read = true;
+                    self.records_decoded += 1;
+                    if keep {
+                        self.ready.push_back(rec);
+                    }
+                }
+                pos
             }
-            pos
         };
         if pos != len {
             return Err(TraceError::Corrupt {

@@ -8,8 +8,8 @@
 
 use latlab_des::{CpuFreq, SimDuration};
 use latlab_trace::{
-    ApiRecord, CounterRecord, Record, StreamDecoder, StreamKind, TraceError, TraceMeta,
-    TraceReader, TraceWriter,
+    crc32, ApiRecord, CounterRecord, DecoderState, Record, StreamDecoder, StreamKind, TraceError,
+    TraceMeta, TraceReader, TraceWriter,
 };
 use proptest::prelude::*;
 
@@ -505,5 +505,298 @@ proptest! {
         let columnar = drain_fragmented(&bytes, &frags, DrainStyle::PollBatch);
         prop_assert_eq!(&reference, &columnar);
         prop_assert!(reference.error.is_some() || !reference.clean_boundary);
+    }
+}
+
+/// The idle baseline of the fused-kernel streams: small enough for the
+/// four-record skip, as in real idle traces.
+const GAP_BASELINE: u64 = 250;
+
+/// Maps a `(kind, x)` draw to a stamp delta clustered on
+/// [`GAP_BASELINE`] (so four-record groups form and break in every lane),
+/// with one-byte, two-byte and long deltas mixed in; kind 9 and above
+/// is a zero delta, which only a corrupt stream carries.
+fn gap_delta((kind, x): (u32, u64)) -> u64 {
+    match kind {
+        0..=5 => GAP_BASELINE - 1 + x % 3,
+        6 => 1 + x % ((1 << 14) - 1),
+        7 => 1 + x % 127,
+        8 => 1_000 + x * 97,
+        _ => 0,
+    }
+}
+
+/// An idle-stamp stream framed by hand: the header, then `deltas`
+/// (the first is the absolute first stamp) in chunks of `sizes` records
+/// (cycling). Hand framing lets a chunk carry what the writer refuses —
+/// zero deltas — under a valid CRC. `poke` flips one bit of one chunk
+/// payload *before* its CRC is computed, so the corruption reaches the
+/// record decoder instead of the checksum.
+fn frame_gap_stream(deltas: &[u64], sizes: &[usize], poke: Option<(u64, u32)>) -> Vec<u8> {
+    let meta = TraceMeta {
+        baseline: SimDuration::from_cycles(GAP_BASELINE),
+        ..meta(StreamKind::IdleStamps)
+    };
+    let mut bytes = TraceWriter::create(Vec::new(), meta)
+        .unwrap()
+        .finish()
+        .unwrap();
+    let mut sizes = sizes.iter().cycle();
+    let mut rest = deltas;
+    let mut chunks: Vec<(u32, Vec<u8>)> = Vec::new();
+    while !rest.is_empty() {
+        let n = (*sizes.next().unwrap()).clamp(1, rest.len());
+        let (head, tail) = rest.split_at(n);
+        let mut payload = Vec::new();
+        for &d in head {
+            let mut v = d;
+            while v >= 0x80 {
+                payload.push((v as u8) | 0x80);
+                v >>= 7;
+            }
+            payload.push(v as u8);
+        }
+        chunks.push((n as u32, payload));
+        rest = tail;
+    }
+    if let Some((at, bit)) = poke {
+        let total: usize = chunks.iter().map(|(_, p)| p.len()).sum();
+        if total > 0 {
+            let mut at = (at % total as u64) as usize;
+            for (_, payload) in &mut chunks {
+                if at < payload.len() {
+                    payload[at] ^= 1 << bit;
+                    break;
+                }
+                at -= payload.len();
+            }
+        }
+    }
+    for (count, payload) in chunks {
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    bytes
+}
+
+/// What a decoder left after a fragmented stream, fed either through
+/// the fused kernel or through the column path plus a gap walk.
+#[derive(Debug, PartialEq)]
+struct GapOutcome {
+    excess: Vec<u64>,
+    error: Option<(usize, String)>,
+    records: u64,
+    state: Option<DecoderState>,
+    clean_boundary: bool,
+}
+
+/// Feeds `bytes` in `frags`-sized fragments (cycling) until the end or
+/// the first error. `fused` feeds through [`StreamDecoder::feed_gaps`];
+/// otherwise `feed` + `poll_batch` + a walk comparing each stamp with
+/// its predecessor — the oracle.
+fn gaps_fragmented(bytes: &[u8], frags: &[usize], fused: bool) -> GapOutcome {
+    let mut d = StreamDecoder::new();
+    let mut excess = Vec::new();
+    let mut column = Vec::new();
+    let mut last: Option<u64> = None;
+    let mut error = None;
+    let mut rest = bytes;
+    let mut cuts = frags.iter().cycle();
+    for index in 0usize.. {
+        if rest.is_empty() {
+            break;
+        }
+        let take = (*cuts.next().unwrap()).min(rest.len());
+        let (head, tail) = rest.split_at(take);
+        let fed = if fused {
+            d.feed_gaps(head, &mut excess)
+        } else {
+            let fed = d.feed(head);
+            column.clear();
+            d.poll_batch(&mut column);
+            let baseline = d.meta().map_or(0, |m| m.baseline.cycles());
+            for &at in &column {
+                if let Some(prev) = last {
+                    let gap = at.saturating_sub(prev);
+                    if gap > baseline {
+                        excess.push(gap - baseline);
+                    }
+                }
+                last = Some(at);
+            }
+            fed
+        };
+        if let Err(e) = fed {
+            error = Some((index, format!("{e:?}")));
+            break;
+        }
+        rest = tail;
+    }
+    GapOutcome {
+        excess,
+        error,
+        records: d.records_decoded(),
+        state: d.export_state(),
+        clean_boundary: d.is_clean_boundary(),
+    }
+}
+
+/// Asserts the fused kernel and the oracle agree on `bytes`; returns
+/// the shared outcome.
+fn check_gaps(bytes: &[u8], frags: &[usize]) -> GapOutcome {
+    let fused = gaps_fragmented(bytes, frags, true);
+    assert_eq!(fused, gaps_fragmented(bytes, frags, false));
+    fused
+}
+
+#[test]
+fn feed_gaps_matches_the_column_walk_on_targeted_streams() {
+    let b = GAP_BASELINE;
+    let frags = [usize::MAX];
+    // The first stamp of a stream yields no gap, even when a group of
+    // baseline deltas follows at once.
+    let out = check_gaps(
+        &frame_gap_stream(&[5_000, b, b, b, b, b + 7], &[64], None),
+        &frags,
+    );
+    assert_eq!(out.excess, vec![7]);
+    assert_eq!(out.records, 6);
+    // The group scan starts after a baseline-pace record, so below the
+    // first stamp and one such record lead, and records 2–5 form the
+    // group under test. A zero delta in each lane fails at that record.
+    for lane in 0..4 {
+        let mut deltas = vec![1_000, b, b, b, b, b, b, b, b];
+        deltas[2 + lane] = 0;
+        let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
+        let index = 2 + lane;
+        assert_eq!(
+            out.error,
+            Some((0, format!("NonMonotonic {{ index: {index} }}")))
+        );
+    }
+    // `delta == baseline` carries no latency; `baseline + 1` in any
+    // lane is one cycle of it.
+    for lane in 0..4 {
+        let mut deltas = vec![1_000, b, b, b, b, b, b, b, b];
+        deltas[2 + lane] = b + 1;
+        let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
+        assert_eq!(out.excess, vec![1]);
+    }
+    // Chunks whose counts are not multiples of four end mid-group.
+    for size in 1..=9 {
+        let deltas: Vec<u64> = (0..40)
+            .map(|i| if i % 11 == 3 { b + 9 } else { b })
+            .collect();
+        let out = check_gaps(&frame_gap_stream(&deltas, &[size], None), &[1, 7, 300]);
+        assert_eq!(out.excess, vec![9; 4]);
+        assert!(out.clean_boundary && out.error.is_none());
+    }
+    // An overflow near u64::MAX inside a group fails at that record.
+    let deltas = [u64::MAX - 850, b, b, b, b, b];
+    let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
+    assert!(out.error.unwrap().1.contains("overflows 64 bits"));
+}
+
+#[test]
+fn feed_gaps_exports_and_restores_its_anchor() {
+    let deltas: Vec<u64> = (0..5_000)
+        .map(|i| if i % 13 == 0 { 1_000 + i } else { GAP_BASELINE })
+        .collect();
+    let bytes = frame_gap_stream(&deltas, &[300, 41], None);
+    let whole = check_gaps(&bytes, &[bytes.len()]);
+    for cut in [1usize, 40, 777, 4_321, bytes.len() - 3] {
+        let mut first = StreamDecoder::new();
+        let mut excess = Vec::new();
+        first.feed_gaps(&bytes[..cut], &mut excess).unwrap();
+        let mut second = StreamDecoder::restore(first.export_state().unwrap());
+        second.feed_gaps(&bytes[cut..], &mut excess).unwrap();
+        assert_eq!(excess, whole.excess, "cut {cut}");
+        assert_eq!(second.export_state(), whole.state);
+    }
+}
+
+#[test]
+fn feed_gaps_decodes_and_discards_other_streams() {
+    let records: Vec<Record> = (0..900u64)
+        .map(|i| {
+            Record::Counter(CounterRecord {
+                at_cycles: i * 1_000,
+                counter: (i % 3) as u32,
+                value: i,
+            })
+        })
+        .collect();
+    let bytes = encode(StreamKind::Counters, &records);
+    let mut d = StreamDecoder::new();
+    let mut excess = Vec::new();
+    for piece in bytes.chunks(101) {
+        d.feed_gaps(piece, &mut excess).unwrap();
+    }
+    assert!(excess.is_empty());
+    assert!(d.poll().is_none());
+    assert_eq!(d.records_decoded(), 900);
+    assert!(d.is_clean_boundary());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fused kernel equals the column path plus a gap walk on intact
+    /// streams under any fragmentation and chunking.
+    #[test]
+    fn feed_gaps_matches_the_column_walk(
+        start in 0u64..1_000_000,
+        draws in prop::collection::vec((0u32..9, 0u64..1 << 20), 0..3000),
+        sizes in prop::collection::vec(1usize..600, 1..8),
+        frags in prop::collection::vec(1usize..512, 1..64),
+    ) {
+        let mut deltas = vec![start];
+        deltas.extend(draws.into_iter().map(gap_delta));
+        let out = check_gaps(&frame_gap_stream(&deltas, &sizes, None), &frags);
+        prop_assert!(out.error.is_none());
+        prop_assert!(out.clean_boundary);
+        prop_assert_eq!(out.records, deltas.len() as u64);
+    }
+
+    /// Cutting the stream anywhere leaves both paths with the same
+    /// excess prefix, record count and resumable state.
+    #[test]
+    fn feed_gaps_matches_the_column_walk_under_truncation(
+        draws in prop::collection::vec((0u32..9, 0u64..1 << 20), 1..1500),
+        sizes in prop::collection::vec(1usize..600, 1..8),
+        frags in prop::collection::vec(1usize..256, 1..32),
+        cut_permille in 0u64..1000,
+    ) {
+        let mut deltas = vec![1_000];
+        deltas.extend(draws.into_iter().map(gap_delta));
+        let bytes = frame_gap_stream(&deltas, &sizes, None);
+        let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
+        let out = check_gaps(&bytes[..cut], &frags);
+        prop_assert!(out.error.is_none());
+    }
+
+    /// Zero deltas, a bit flipped in the stream (caught by framing or
+    /// CRC) or in a payload under a valid CRC (caught by the record
+    /// decoder): both paths fail at the same fragment with the same
+    /// error after the same excess.
+    #[test]
+    fn feed_gaps_matches_the_column_walk_under_corruption(
+        draws in prop::collection::vec((0u32..10, 0u64..1 << 20), 1..800),
+        sizes in prop::collection::vec(1usize..300, 1..8),
+        frags in prop::collection::vec(1usize..256, 1..32),
+        flip in (0u32..3, 0u64..1 << 32, 0u32..8),
+    ) {
+        let mut deltas = vec![1_000];
+        deltas.extend(draws.into_iter().map(gap_delta));
+        let (mode, at, bit) = flip;
+        let poke = (mode == 1).then_some((at, bit));
+        let mut bytes = frame_gap_stream(&deltas, &sizes, poke);
+        if mode == 2 {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= 1 << bit;
+        }
+        check_gaps(&bytes, &frags);
     }
 }
