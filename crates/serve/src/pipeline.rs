@@ -6,8 +6,8 @@
 //!
 //! * the **fused path** the server runs ([`fold_frame`]):
 //!   [`StreamDecoder::feed_gaps`] decodes each frame straight to the
-//!   excess cycles of over-baseline stamp gaps, skipping baseline-pace
-//!   runs without storing a stamp, and the excess folds through
+//!   excess cycles of over-baseline stamp gaps without storing a
+//!   stamp, and the excess folds through
 //!   [`LatencySketch::update_batch`] a stack-sized batch at a time;
 //! * the **scalar reference path**: a [`StreamDecoder::new_scalar`]
 //!   decoder materializes one `Record` per stamp, [`StreamDecoder::poll`]

@@ -149,16 +149,10 @@ pub fn decode_stamp_chunk(
 /// column that compares each stamp to its predecessor — same state
 /// updates through the references, same excess sequence, same error at
 /// the same record index, with every excess before a failure already in
-/// `out` — but in one pass.
-///
-/// Baseline-pace runs are skipped up to four records at a time: after a
-/// baseline-pace record, when `baseline < 2^14`, one 8-byte load checks
-/// which of the next four records are two-byte varints whose deltas lie
-/// in `(0, baseline]`, and the leading run of those advances the stamp
-/// by its sum (when that does not overflow) without producing output.
-/// The record that ends a run, and every record of a chunk's last
-/// three, takes the scalar step, which reports errors exactly as
-/// [`decode_stamp_chunk`] does.
+/// `out` — but in one pass. Each record takes the same step as in
+/// [`decode_stamp_chunk`], so errors are reported exactly as there.
+/// Excesses are staged in a stack buffer of 64 records so that
+/// keeping or dropping one is arithmetic rather than a branch.
 ///
 /// Returns the payload bytes consumed.
 ///
@@ -178,108 +172,83 @@ pub fn decode_stamp_gaps(
     // As in `decode_stamp_chunk`, the delta state lives in locals and is
     // written back on every exit.
     let (mut prev, mut any, mut n) = (*prev_at, *any_read, *records);
-    let skip = baseline < 1 << 14;
-    let limit = LANE_HIGH | baseline.wrapping_mul(LANE_ONE);
-    // Whether the last record's delta was within the baseline. A group
-    // scan is only worth its load when a run is likely under way: on a
-    // dense trace, where most gaps carry latency, scanning ahead of every
-    // record would chain each record's position to a failed scan. Only a
-    // decoded record sets it, so a scan always has a previous stamp.
-    let mut paced = false;
-    let mut left = count;
-    let mut result = Ok(());
-    while left > 0 {
-        if skip && paced && left >= 4 {
-            if let Some(group) = payload[pos..].first_chunk::<8>() {
-                let (run, sum) = baseline_run(u64::from_le_bytes(*group), limit);
-                if let Some(at) = prev.checked_add(sum) {
-                    prev = at;
-                    // A whole group advances `pos` by a constant, so the
-                    // next load need not wait on `run`.
-                    if run == 4 {
-                        n += 4;
-                        pos += 8;
-                        left -= 4;
-                        continue;
+    let result = (|| -> Result<(), TraceError> {
+        let mut left = count;
+        // The first stamp of a stream has no gap.
+        if !any && left > 0 {
+            prev = read_delta(payload, &mut pos)?;
+            any = true;
+            n += 1;
+            left -= 1;
+        }
+        // Whether a gap carries latency is data, not a pattern a branch
+        // predictor learns, so every gap's excess is written to a stack
+        // buffer and kept only when the gap is over the baseline; each
+        // buffer is appended to `out`, a partial one before an error.
+        let mut staged = [0u64; STAGED];
+        while left > 0 {
+            let block = left.min(STAGED as u32);
+            let mut kept = 0usize;
+            let mut step = Ok(());
+            for _ in 0..block {
+                let stamp = read_delta(payload, &mut pos)
+                    .and_then(|delta| advance(prev, true, n, delta).map(|at| (delta, at)));
+                let (delta, at) = match stamp {
+                    Ok(stamp) => stamp,
+                    Err(e) => {
+                        step = Err(e);
+                        break;
                     }
-                    n += u64::from(run);
-                    pos += 2 * run as usize;
-                    left -= run;
-                }
+                };
+                // `kept` is below `block`, so the mask never wraps it; it
+                // only spares the bounds check.
+                staged[kept % STAGED] = delta.wrapping_sub(baseline);
+                kept += usize::from(delta > baseline);
+                prev = at;
+                n += 1;
             }
+            out.extend_from_slice(&staged[..kept]);
+            step?;
+            left -= block;
         }
-        let stamp = read_delta(payload, &mut pos)
-            .and_then(|delta| advance(prev, any, n, delta).map(|at| (delta, at)));
-        let (delta, at) = match stamp {
-            Ok(step) => step,
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        };
-        if any && delta > baseline {
-            out.push(delta - baseline);
-        }
-        paced = delta <= baseline;
-        prev = at;
-        any = true;
-        n += 1;
-        left -= 1;
-    }
+        Ok(())
+    })();
     *prev_at = prev;
     *any_read = any;
     *records = n;
     result.map(|()| pos)
 }
 
-/// One in each 16-bit lane of a `u64`.
-const LANE_ONE: u64 = 0x0001_0001_0001_0001;
-/// The top bit of each 16-bit lane.
-const LANE_HIGH: u64 = 0x8000_8000_8000_8000;
+/// Records per stack buffer of staged excesses in [`decode_stamp_gaps`].
+const STAGED: usize = 64;
 
-/// SWAR scan of one 8-byte group (little-endian) against
-/// `limit = LANE_HIGH | baseline·LANE_ONE`, `baseline < 2^14`: how many
-/// leading 16-bit lanes are two-byte varints whose deltas lie in
-/// `(0, baseline]` (0–4), and the sum of those deltas.
-#[inline(always)]
-fn baseline_run(w: u64, limit: u64) -> (u32, u64) {
-    // A two-byte varint sets the continuation bit on its first byte and
-    // clears it on its second.
-    let two_byte = (w << 8) & !w & LANE_HIGH;
-    // Each lane becomes its 14-bit delta: low 7 bits from the first
-    // byte, high 7 from the second.
-    let d = (w & 0x007f_007f_007f_007f) | ((w >> 1) & 0x3f80_3f80_3f80_3f80);
-    // Lanes stay below 2^14, so neither subtraction borrows across a
-    // lane: a lane's top bit survives the first iff its delta is ≥ 1,
-    // and the second iff it is ≤ baseline.
-    let in_range = ((d | LANE_HIGH) - LANE_ONE) & (limit - d);
-    let bad = !(two_byte & in_range) & LANE_HIGH;
-    // Keep the lanes below the first bad one (all four if none is bad);
-    // the top lane of `d · LANE_ONE` is then their sum (< 2^16).
-    let keep = ((bad & bad.wrapping_neg()) >> 15).wrapping_sub(1);
-    (
-        bad.trailing_zeros() / 16,
-        (d & keep).wrapping_mul(LANE_ONE) >> 48,
-    )
-}
-
-/// Reads one stamp delta at `payload[*pos..]`. One- and two-byte
-/// varints cover every delta below 2^14 cycles — all baseline-pace idle
-/// gaps and most jitter; the general decoder handles longer encodings
-/// and reports the exact errors for truncated or overlong ones.
+/// Reads one stamp delta at `payload[*pos..]`. One- to three-byte
+/// varints cover every delta below 2^21 cycles (about 21 ms at
+/// 100 MHz): the 1 ms baseline of a recorded trace and its jitter take
+/// three bytes, a short synthetic baseline one or two. The general
+/// decoder handles longer encodings and reports the exact errors for
+/// truncated or overlong ones.
 #[inline(always)]
 fn read_delta(payload: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    match payload.get(*pos) {
+    let at = *pos;
+    match payload.get(at) {
         Some(&b0) if b0 < 0x80 => {
             *pos += 1;
             Ok(u64::from(b0))
         }
-        Some(&b0) => match payload.get(*pos + 1) {
+        Some(&b0) => match payload.get(at + 1) {
             Some(&b1) if b1 < 0x80 => {
                 *pos += 2;
                 Ok(u64::from(b0 & 0x7f) | (u64::from(b1) << 7))
             }
-            _ => varint::decode(payload, pos),
+            Some(&b1) => match payload.get(at + 2) {
+                Some(&b2) if b2 < 0x80 => {
+                    *pos += 3;
+                    Ok(u64::from(b0 & 0x7f) | (u64::from(b1 & 0x7f) << 7) | (u64::from(b2) << 14))
+                }
+                _ => varint::decode(payload, pos),
+            },
+            None => varint::decode(payload, pos),
         },
         None => varint::decode(payload, pos),
     }
@@ -426,196 +395,121 @@ mod tests {
         payload
     }
 
+    /// Baselines under test: a short synthetic one, whose deltas are
+    /// one- and two-byte varints, and the 1 ms baseline a recorded trace
+    /// carries at 100 MHz, whose deltas are three-byte varints.
+    const BASELINES: [u64; 2] = [250, 100_000];
+
     #[test]
-    fn gaps_skip_baseline_runs_and_keep_the_excess() {
-        let deltas = [
-            250, 250, 251, 250, 250, 250, 250, 250, 900, 3, 250, 250, 250,
-        ];
-        let payload = encode_deltas(&deltas);
-        let (r, excess, state) = check(&payload, deltas.len() as u32, 250, (1_000, true, 7));
-        assert_eq!(r, Ok(payload.len()));
-        assert_eq!(excess, vec![1, 650]);
-        let total: u64 = deltas.iter().sum();
-        assert_eq!(state, (1_000 + total, true, 7 + deltas.len() as u64));
+    fn gaps_keep_only_the_excess_over_baseline() {
+        for b in BASELINES {
+            let deltas = [b, b, b + 1, b, b, 3, b + 650, b, u64::from(u32::MAX), b];
+            let payload = encode_deltas(&deltas);
+            let (r, excess, state) = check(&payload, deltas.len() as u32, b, (1_000, true, 7));
+            assert_eq!(r, Ok(payload.len()));
+            assert_eq!(excess, vec![1, 650, u64::from(u32::MAX) - b]);
+            let total: u64 = deltas.iter().sum();
+            assert_eq!(state, (1_000 + total, true, 7 + deltas.len() as u64));
+        }
     }
 
-    // The group scan starts after a baseline-pace record, so the group
-    // tests below lead with one: the four records after it form the
-    // group under test.
-
     #[test]
-    fn zero_delta_in_each_lane_of_a_group() {
-        // A zero delta encodes as one byte, or as the overlong two-byte
-        // `80 00` that the group check itself must reject.
-        for zero in [&[0x00][..], &[0x80, 0x00]] {
-            for lane in 0..4 {
-                let mut payload = encode_deltas(&[250]);
-                for i in 0..4 {
-                    if i == lane {
+    fn a_zero_delta_is_non_monotonic_at_its_record() {
+        // A zero delta encodes as one byte, or as the overlong `80 00`
+        // or `80 80 00`. Every gap before it carries ten cycles of
+        // latency, all delivered before the error, on either side of the
+        // kernel's staging-buffer boundary.
+        for zero in [&[0x00][..], &[0x80, 0x00], &[0x80, 0x80, 0x00]] {
+            for at in [0usize, 1, 2, 3, 63, 64, 65, 69] {
+                let mut payload = Vec::new();
+                for i in 0..70 {
+                    if i == at {
                         payload.extend_from_slice(zero);
                     } else {
-                        varint::encode(250, &mut payload);
+                        varint::encode(260, &mut payload);
                     }
                 }
-                let (r, _, state) = check(&payload, 5, 250, (5_000, true, 100));
-                let index = 100 + 1 + lane;
+                let (r, excess, state) = check(&payload, 70, 250, (5_000, true, 100));
+                let index = 100 + at;
                 assert_eq!(r, Err(format!("NonMonotonic {{ index: {index} }}")));
-                assert_eq!(state, (5_000 + 250 * (1 + lane as u64), true, index as u64));
+                assert_eq!(excess, vec![10; at]);
+                assert_eq!(state, (5_000 + 260 * at as u64, true, index as u64));
             }
         }
     }
 
     #[test]
-    fn overflow_inside_a_group() {
-        // The third delta of the group crosses u64::MAX.
-        let payload = encode_deltas(&[250u64; 5]);
-        let start = u64::MAX - 850;
-        let (r, excess, state) = check(&payload, 5, 250, (start, true, 0));
-        assert!(r.unwrap_err().contains("overflows 64 bits"));
-        assert!(excess.is_empty());
-        assert_eq!(state, (start + 750, true, 3));
-        // Exactly reaching u64::MAX is fine.
-        let (r, _, state) = check(&payload, 5, 250, (u64::MAX - 1_250, true, 0));
-        assert_eq!(r, Ok(10));
-        assert_eq!(state, (u64::MAX, true, 5));
+    fn overflow_near_u64_max_fails_at_its_record() {
+        for b in BASELINES {
+            // The third delta crosses u64::MAX.
+            let payload = encode_deltas(&[b; 4]);
+            let start = u64::MAX - (3 * b - 1);
+            let (r, excess, state) = check(&payload, 4, b, (start, true, 0));
+            assert!(r.unwrap_err().contains("overflows 64 bits"));
+            assert!(excess.is_empty());
+            assert_eq!(state, (start + 2 * b, true, 2));
+            // Exactly reaching u64::MAX is fine.
+            let (r, _, state) = check(&payload, 4, b, (u64::MAX - 4 * b, true, 0));
+            assert_eq!(r, Ok(payload.len()));
+            assert_eq!(state, (u64::MAX, true, 4));
+        }
     }
 
     #[test]
-    fn baseline_is_inclusive_per_lane() {
-        for baseline in [200u64, 5_000, (1 << 14) - 1] {
-            let payload = encode_deltas(&[baseline; 5]);
-            let (_, excess, _) = check(&payload, 5, baseline, (0, true, 0));
-            assert!(excess.is_empty(), "delta == baseline carries no latency");
-            for lane in 0..4 {
-                let mut deltas = [baseline; 5];
-                deltas[1 + lane] = baseline + 1;
-                let (r, excess, _) = check(&encode_deltas(&deltas), 5, baseline, (0, true, 0));
+    fn a_gap_of_exactly_the_baseline_carries_no_latency() {
+        // Baselines at each varint width's edge, and the usual ones.
+        let edges = [127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21];
+        for b in [1u64, 250, 100_000, u64::MAX].into_iter().chain(edges) {
+            let payload = encode_deltas(&[b; 4]);
+            let (_, excess, _) = check(&payload, 4, b, (0, true, 0));
+            assert!(excess.is_empty(), "baseline {b}");
+            if b < u64::MAX {
+                let payload = encode_deltas(&[b, b + 1, b]);
+                let (r, excess, _) = check(&payload, 3, b, (0, true, 0));
                 assert!(r.is_ok());
-                assert_eq!(excess, vec![1], "lane {lane}");
+                assert_eq!(excess, vec![1], "baseline {b}");
             }
         }
     }
 
     #[test]
-    fn baselines_beyond_two_byte_varints_take_the_scalar_step() {
-        for baseline in [1u64 << 14, (1 << 14) + 1, 100_000, u64::MAX] {
-            let deltas = [16_383u64, 16_384, 16_385, 100_000, 100_001, 1, 2, 3];
+    fn a_miscounted_chunk_stops_where_the_column_kernel_does() {
+        for b in BASELINES {
+            let deltas = [b, b + 10, b, b];
             let payload = encode_deltas(&deltas);
-            let (r, excess, _) = check(&payload, deltas.len() as u32, baseline, (9, true, 0));
-            assert_eq!(r, Ok(payload.len()));
-            let expect: Vec<u64> = deltas
-                .iter()
-                .filter(|&&d| d > baseline)
-                .map(|&d| d - baseline)
-                .collect();
-            assert_eq!(excess, expect);
-        }
-    }
-
-    #[test]
-    fn chunk_ends_off_a_group_boundary() {
-        for count in 1..=11u32 {
-            let mut deltas = vec![250u64; count as usize];
-            deltas[count as usize - 1] = 260;
-            let payload = encode_deltas(&deltas);
-            let (r, excess, state) = check(&payload, count, 250, (0, true, 0));
-            assert_eq!(r, Ok(payload.len()));
-            assert_eq!(excess, vec![10]);
-            assert_eq!(state.2, u64::from(count));
+            let last = payload.len() - encode_deltas(&[b]).len();
             // A count one short leaves trailing bytes for the caller to
             // reject; one too many runs off the payload.
-            let (r, _, _) = check(&payload, count - 1, 250, (0, true, 0));
-            assert_eq!(r, Ok(payload.len() - 2));
-            let (r, _, _) = check(&payload, count + 1, 250, (0, true, 0));
+            let (r, excess, _) = check(&payload, 3, b, (0, true, 0));
+            assert_eq!((r, excess), (Ok(last), vec![10]));
+            let (r, _, _) = check(&payload, 5, b, (0, true, 0));
             assert!(r.unwrap_err().contains("varint runs past"));
+        }
+    }
+
+    #[test]
+    fn a_varint_cut_short_runs_past_the_payload() {
+        for tail in [&[0x80][..], &[0x80, 0x80], &[0x80, 0x80, 0x80]] {
+            let mut payload = encode_deltas(&[100_000]);
+            payload.extend_from_slice(tail);
+            let (r, _, state) = check(&payload, 2, 100_000, (0, true, 0));
+            assert!(r.unwrap_err().contains("varint runs past"));
+            assert_eq!(state, (100_000, true, 1));
         }
     }
 
     #[test]
     fn first_stamp_of_a_stream_has_no_gap() {
         // The first delta is an absolute stamp (here zero, which is
-        // legal), and a group right after it must still anchor on it.
-        let deltas = [0u64, 250, 250, 250, 250, 300];
-        let payload = encode_deltas(&deltas);
-        let (r, excess, state) = check(&payload, 6, 250, (0, false, 0));
+        // legal), and the next record anchors on it.
+        let payload = encode_deltas(&[0, 250, 250, 300]);
+        let (r, excess, state) = check(&payload, 4, 250, (0, false, 0));
         assert_eq!(r, Ok(payload.len()));
         assert_eq!(excess, vec![50]);
-        assert_eq!(state, (1_300, true, 6));
-        let payload = encode_deltas(&[1_000_000, 250, 250, 250, 250]);
-        let (_, excess, state) = check(&payload, 5, 250, (0, false, 0));
+        assert_eq!(state, (800, true, 4));
+        let payload = encode_deltas(&[1_000_000, 250]);
+        let (_, excess, state) = check(&payload, 2, 250, (0, false, 0));
         assert!(excess.is_empty());
-        assert_eq!(state, (1_001_000, true, 5));
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// One generated kernel case, drawn from a seed.
-        struct Case {
-            next: u64,
-        }
-
-        impl Case {
-            fn u64(&mut self) -> u64 {
-                // xorshift64*
-                self.next ^= self.next >> 12;
-                self.next ^= self.next << 25;
-                self.next ^= self.next >> 27;
-                self.next.wrapping_mul(0x2545_f491_4f6c_dd1d)
-            }
-
-            fn below(&mut self, n: u64) -> u64 {
-                self.u64() % n
-            }
-
-            /// Baselines on both sides of the two-byte-varint limit.
-            fn baseline(&mut self) -> u64 {
-                match self.below(6) {
-                    0..=3 => self.below(1 << 14),
-                    4 => (1 << 14) - 2 + self.below(4),
-                    _ => self.u64(),
-                }
-            }
-
-            /// Deltas clustered on the baseline, so four-record groups
-            /// form and break in every lane, plus arbitrary ones.
-            fn delta(&mut self, baseline: u64) -> u64 {
-                match self.below(10) {
-                    0..=5 => baseline.saturating_add(self.below(3)).saturating_sub(1),
-                    6 | 7 => self.below(1 << 14),
-                    8 => 0,
-                    _ => self.u64(),
-                }
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(2048))]
-
-            /// On any payload — well-formed, miscounted, or with one bit
-            /// flipped — the fused kernel yields the oracle's excess,
-            /// result and delta state.
-            #[test]
-            fn fused_gaps_match_the_column_walk(seed in any::<u64>()) {
-                let mut g = Case { next: seed | 1 };
-                let baseline = g.baseline();
-                let len = g.below(64) as usize;
-                let deltas: Vec<u64> = (0..len).map(|_| g.delta(baseline)).collect();
-                let mut payload = encode_deltas(&deltas);
-                if g.below(3) == 0 && !payload.is_empty() {
-                    let at = g.below(payload.len() as u64) as usize;
-                    payload[at] ^= 1 << g.below(8);
-                }
-                let count = (len as u64 + g.below(5)).saturating_sub(2) as u32;
-                let prev = if g.below(4) == 0 {
-                    u64::MAX - g.below(1 << 16)
-                } else {
-                    g.below(1 << 40)
-                };
-                let state = (prev, g.below(5) != 0, g.below(1_000));
-                let _ = check(&payload, count, baseline, state);
-            }
-        }
+        assert_eq!(state, (1_000_250, true, 2));
     }
 }

@@ -29,10 +29,9 @@
 //! calls [`feed_gaps`] instead: each completed idle-stamp chunk goes
 //! through [`crate::codec::decode_stamp_gaps`], which turns every stamp
 //! gap longer than the trace's baseline into `gap − baseline` cycles and
-//! stores no stamp at all, skipping baseline-pace runs up to four
-//! records at a time. The column path above is its oracle: the property tests hold
-//! `feed_gaps` to `feed` + [`poll_batch`] + a gap walk, record for
-//! record and error for error. `feed_gaps` always takes the fused kernel,
+//! stores no stamp at all. The column path above is its oracle: the
+//! property tests hold `feed_gaps` to `feed` + [`poll_batch`] + a gap
+//! walk, record for record and error for error. `feed_gaps` always takes the fused kernel,
 //! scalar decoder or not.
 //!
 //! [`StreamDecoder::new_scalar`] builds a decoder with the columnar

@@ -508,17 +508,18 @@ proptest! {
     }
 }
 
-/// The idle baseline of the fused-kernel streams: small enough for the
-/// four-record skip, as in real idle traces.
-const GAP_BASELINE: u64 = 250;
+/// Idle baselines of the fused-kernel streams: a short synthetic one,
+/// whose deltas are one- and two-byte varints, and the 1 ms baseline a
+/// recorded trace carries at 100 MHz, whose deltas take three bytes.
+const GAP_BASELINES: [u64; 2] = [250, 100_000];
 
-/// Maps a `(kind, x)` draw to a stamp delta clustered on
-/// [`GAP_BASELINE`] (so four-record groups form and break in every lane),
-/// with one-byte, two-byte and long deltas mixed in; kind 9 and above
-/// is a zero delta, which only a corrupt stream carries.
-fn gap_delta((kind, x): (u32, u64)) -> u64 {
+/// Maps a `(kind, x)` draw to a stamp delta clustered on `baseline`
+/// (at, just under and just over it), with one-byte, two-byte and long
+/// deltas mixed in; kind 9 and above is a zero delta, which only a
+/// corrupt stream carries.
+fn gap_delta(baseline: u64, (kind, x): (u32, u64)) -> u64 {
     match kind {
-        0..=5 => GAP_BASELINE - 1 + x % 3,
+        0..=5 => baseline - 1 + x % 3,
         6 => 1 + x % ((1 << 14) - 1),
         7 => 1 + x % 127,
         8 => 1_000 + x * 97,
@@ -532,9 +533,14 @@ fn gap_delta((kind, x): (u32, u64)) -> u64 {
 /// zero deltas — under a valid CRC. `poke` flips one bit of one chunk
 /// payload *before* its CRC is computed, so the corruption reaches the
 /// record decoder instead of the checksum.
-fn frame_gap_stream(deltas: &[u64], sizes: &[usize], poke: Option<(u64, u32)>) -> Vec<u8> {
+fn frame_gap_stream(
+    baseline: u64,
+    deltas: &[u64],
+    sizes: &[usize],
+    poke: Option<(u64, u32)>,
+) -> Vec<u8> {
     let meta = TraceMeta {
-        baseline: SimDuration::from_cycles(GAP_BASELINE),
+        baseline: SimDuration::from_cycles(baseline),
         ..meta(StreamKind::IdleStamps)
     };
     let mut bytes = TraceWriter::create(Vec::new(), meta)
@@ -653,67 +659,65 @@ fn check_gaps(bytes: &[u8], frags: &[usize]) -> GapOutcome {
 
 #[test]
 fn feed_gaps_matches_the_column_walk_on_targeted_streams() {
-    let b = GAP_BASELINE;
     let frags = [usize::MAX];
-    // The first stamp of a stream yields no gap, even when a group of
-    // baseline deltas follows at once.
-    let out = check_gaps(
-        &frame_gap_stream(&[5_000, b, b, b, b, b + 7], &[64], None),
-        &frags,
-    );
-    assert_eq!(out.excess, vec![7]);
-    assert_eq!(out.records, 6);
-    // The group scan starts after a baseline-pace record, so below the
-    // first stamp and one such record lead, and records 2–5 form the
-    // group under test. A zero delta in each lane fails at that record.
-    for lane in 0..4 {
-        let mut deltas = vec![1_000, b, b, b, b, b, b, b, b];
-        deltas[2 + lane] = 0;
-        let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
-        let index = 2 + lane;
-        assert_eq!(
-            out.error,
-            Some((0, format!("NonMonotonic {{ index: {index} }}")))
+    for b in GAP_BASELINES {
+        // The first stamp of a stream yields no gap.
+        let out = check_gaps(
+            &frame_gap_stream(b, &[5_000, b, b, b + 7], &[64], None),
+            &frags,
         );
-    }
-    // `delta == baseline` carries no latency; `baseline + 1` in any
-    // lane is one cycle of it.
-    for lane in 0..4 {
-        let mut deltas = vec![1_000, b, b, b, b, b, b, b, b];
-        deltas[2 + lane] = b + 1;
-        let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
+        assert_eq!(out.excess, vec![7]);
+        assert_eq!(out.records, 4);
+        // A zero delta fails at its record.
+        for at in 1..5 {
+            let mut deltas = vec![1_000, b, b, b, b, b];
+            deltas[at] = 0;
+            let out = check_gaps(&frame_gap_stream(b, &deltas, &[64], None), &frags);
+            assert_eq!(
+                out.error,
+                Some((0, format!("NonMonotonic {{ index: {at} }}")))
+            );
+        }
+        // `delta == baseline` carries no latency; `baseline + 1` is one
+        // cycle of it.
+        let out = check_gaps(
+            &frame_gap_stream(b, &[1_000, b, b + 1, b - 1, b], &[64], None),
+            &frags,
+        );
         assert_eq!(out.excess, vec![1]);
+        // Chunks of every small size, fed in awkward fragments.
+        for size in 1..=9 {
+            let deltas: Vec<u64> = (0..40)
+                .map(|i| if i % 11 == 3 { b + 9 } else { b })
+                .collect();
+            let out = check_gaps(&frame_gap_stream(b, &deltas, &[size], None), &[1, 7, 300]);
+            assert_eq!(out.excess, vec![9; 4]);
+            assert!(out.clean_boundary && out.error.is_none());
+        }
+        // An overflow near u64::MAX fails at its record.
+        let deltas = [u64::MAX - (3 * b + 100), b, b, b, b, b];
+        let out = check_gaps(&frame_gap_stream(b, &deltas, &[64], None), &frags);
+        assert!(out.error.unwrap().1.contains("overflows 64 bits"));
     }
-    // Chunks whose counts are not multiples of four end mid-group.
-    for size in 1..=9 {
-        let deltas: Vec<u64> = (0..40)
-            .map(|i| if i % 11 == 3 { b + 9 } else { b })
-            .collect();
-        let out = check_gaps(&frame_gap_stream(&deltas, &[size], None), &[1, 7, 300]);
-        assert_eq!(out.excess, vec![9; 4]);
-        assert!(out.clean_boundary && out.error.is_none());
-    }
-    // An overflow near u64::MAX inside a group fails at that record.
-    let deltas = [u64::MAX - 850, b, b, b, b, b];
-    let out = check_gaps(&frame_gap_stream(&deltas, &[64], None), &frags);
-    assert!(out.error.unwrap().1.contains("overflows 64 bits"));
 }
 
 #[test]
 fn feed_gaps_exports_and_restores_its_anchor() {
-    let deltas: Vec<u64> = (0..5_000)
-        .map(|i| if i % 13 == 0 { 1_000 + i } else { GAP_BASELINE })
-        .collect();
-    let bytes = frame_gap_stream(&deltas, &[300, 41], None);
-    let whole = check_gaps(&bytes, &[bytes.len()]);
-    for cut in [1usize, 40, 777, 4_321, bytes.len() - 3] {
-        let mut first = StreamDecoder::new();
-        let mut excess = Vec::new();
-        first.feed_gaps(&bytes[..cut], &mut excess).unwrap();
-        let mut second = StreamDecoder::restore(first.export_state().unwrap());
-        second.feed_gaps(&bytes[cut..], &mut excess).unwrap();
-        assert_eq!(excess, whole.excess, "cut {cut}");
-        assert_eq!(second.export_state(), whole.state);
+    for b in GAP_BASELINES {
+        let deltas: Vec<u64> = (0..5_000)
+            .map(|i| if i % 13 == 0 { b + 1 + i } else { b })
+            .collect();
+        let bytes = frame_gap_stream(b, &deltas, &[300, 41], None);
+        let whole = check_gaps(&bytes, &[bytes.len()]);
+        for cut in [1usize, 40, 777, 4_321, bytes.len() - 3] {
+            let mut first = StreamDecoder::new();
+            let mut excess = Vec::new();
+            first.feed_gaps(&bytes[..cut], &mut excess).unwrap();
+            let mut second = StreamDecoder::restore(first.export_state().unwrap());
+            second.feed_gaps(&bytes[cut..], &mut excess).unwrap();
+            assert_eq!(excess, whole.excess, "baseline {b}, cut {cut}");
+            assert_eq!(second.export_state(), whole.state);
+        }
     }
 }
 
@@ -747,14 +751,15 @@ proptest! {
     /// streams under any fragmentation and chunking.
     #[test]
     fn feed_gaps_matches_the_column_walk(
+        baseline in (0..GAP_BASELINES.len()).prop_map(|i| GAP_BASELINES[i]),
         start in 0u64..1_000_000,
         draws in prop::collection::vec((0u32..9, 0u64..1 << 20), 0..3000),
         sizes in prop::collection::vec(1usize..600, 1..8),
         frags in prop::collection::vec(1usize..512, 1..64),
     ) {
         let mut deltas = vec![start];
-        deltas.extend(draws.into_iter().map(gap_delta));
-        let out = check_gaps(&frame_gap_stream(&deltas, &sizes, None), &frags);
+        deltas.extend(draws.into_iter().map(|d| gap_delta(baseline, d)));
+        let out = check_gaps(&frame_gap_stream(baseline, &deltas, &sizes, None), &frags);
         prop_assert!(out.error.is_none());
         prop_assert!(out.clean_boundary);
         prop_assert_eq!(out.records, deltas.len() as u64);
@@ -764,14 +769,15 @@ proptest! {
     /// excess prefix, record count and resumable state.
     #[test]
     fn feed_gaps_matches_the_column_walk_under_truncation(
+        baseline in (0..GAP_BASELINES.len()).prop_map(|i| GAP_BASELINES[i]),
         draws in prop::collection::vec((0u32..9, 0u64..1 << 20), 1..1500),
         sizes in prop::collection::vec(1usize..600, 1..8),
         frags in prop::collection::vec(1usize..256, 1..32),
         cut_permille in 0u64..1000,
     ) {
         let mut deltas = vec![1_000];
-        deltas.extend(draws.into_iter().map(gap_delta));
-        let bytes = frame_gap_stream(&deltas, &sizes, None);
+        deltas.extend(draws.into_iter().map(|d| gap_delta(baseline, d)));
+        let bytes = frame_gap_stream(baseline, &deltas, &sizes, None);
         let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
         let out = check_gaps(&bytes[..cut], &frags);
         prop_assert!(out.error.is_none());
@@ -783,16 +789,17 @@ proptest! {
     /// error after the same excess.
     #[test]
     fn feed_gaps_matches_the_column_walk_under_corruption(
+        baseline in (0..GAP_BASELINES.len()).prop_map(|i| GAP_BASELINES[i]),
         draws in prop::collection::vec((0u32..10, 0u64..1 << 20), 1..800),
         sizes in prop::collection::vec(1usize..300, 1..8),
         frags in prop::collection::vec(1usize..256, 1..32),
         flip in (0u32..3, 0u64..1 << 32, 0u32..8),
     ) {
         let mut deltas = vec![1_000];
-        deltas.extend(draws.into_iter().map(gap_delta));
+        deltas.extend(draws.into_iter().map(|d| gap_delta(baseline, d)));
         let (mode, at, bit) = flip;
         let poke = (mode == 1).then_some((at, bit));
-        let mut bytes = frame_gap_stream(&deltas, &sizes, poke);
+        let mut bytes = frame_gap_stream(baseline, &deltas, &sizes, poke);
         if mode == 2 {
             let i = (at % bytes.len() as u64) as usize;
             bytes[i] ^= 1 << bit;
