@@ -11,7 +11,7 @@
 //!      [--no-fork] [--baseline FILE] [--tolerance PCT] [id ...]
 //! ```
 //!
-//! Five phases run in order:
+//! Six phases run in order:
 //!
 //! 1. each scenario, `--iters` times (min and mean wall clock);
 //! 2. the whole set once through the job pool (`--jobs` workers, default
@@ -26,11 +26,15 @@
 //! 5. **sweep**: a full parameter grid (every sweepable parameter × 5
 //!    values × `--sweep-reps` reps, default 5) on the warm Word and
 //!    Notepad editing metrics, forked and from scratch, asserted
-//!    bit-identical (`--sweep-reps 0` or `--no-fork` skips it).
+//!    bit-identical (`--sweep-reps 0` or `--no-fork` skips it);
+//! 6. **counts**: the simulator's deterministic work counts (loop turns,
+//!    events, clock ticks, context switches, messages posted, fast-forward
+//!    batches and iterations) for fig7, the ablations and the Word sweep
+//!    prefix.
 //!
 //! Every phase pushes its figures onto one flat list of named metrics,
 //! written to `BENCH_repro.json` (override with `--out`) as schema
-//! `latlab-perf-v3`. Each metric carries its direction (`better`), an
+//! `latlab-perf-v4`. Each metric carries its direction (`better`), an
 //! optional `noise_floor` and an optional `floor`, and one gate loop
 //! judges the list:
 //!
@@ -39,11 +43,12 @@
 //! * with `--baseline FILE`, a metric with a noise floor is compared with
 //!   the baseline entry of the same name, and fails when it moved the
 //!   wrong way by more than `--tolerance` percent (default 25) *and* by
-//!   more than its noise floor. A name missing from either side is not
-//!   compared; a metric without a noise floor is informational.
+//!   more than its noise floor. A work count is `exact`: any difference
+//!   from its baseline entry fails. A name missing from either side is not
+//!   compared; a metric with neither is informational.
 //!
 //! The baseline is read before anything is measured: a missing file, or
-//! one that is not `latlab-perf-v3`, fails the run at once.
+//! one that is not `latlab-perf-v4`, fails the run at once.
 //!
 //! `--no-fastforward` times the step-by-step idle path instead of the
 //! batched one — the two produce byte-identical results, so the delta is
@@ -63,7 +68,7 @@ use serde::{Deserialize, Serialize};
 const BIN: &str = "perf";
 
 /// Schema tag of the trajectory file this harness writes and reads.
-const SCHEMA: &str = "latlab-perf-v3";
+const SCHEMA: &str = "latlab-perf-v4";
 
 const USAGE: &str = "\
 usage: perf [--out FILE] [--iters N] [--jobs N] [--no-fastforward]
@@ -93,6 +98,8 @@ struct Metric {
     /// Minimum the fresh value must reach, with or without a baseline; a
     /// floored metric must also be positive.
     floor: Option<f64>,
+    /// Any difference from the baseline entry fails, in either direction.
+    exact: bool,
 }
 
 impl Metric {
@@ -105,6 +112,7 @@ impl Metric {
             better,
             noise_floor: None,
             floor: None,
+            exact: false,
         }
     }
 
@@ -174,6 +182,16 @@ fn fork_speedup(id: &str, x: f64) -> Metric {
         .floor(3.0)
 }
 
+/// A deterministic work count (see `latlab_os::work`). It is a pure
+/// function of the simulation, so any change from the baseline — up or
+/// down — means the simulator now does different work, and fails.
+fn count(name: String, n: u64) -> Metric {
+    Metric {
+        exact: true,
+        ..Metric::info(name, n as f64, "count", Lower)
+    }
+}
+
 /// Appends `new` to the metric list, echoing each figure as it lands.
 fn record(metrics: &mut Vec<Metric>, new: impl IntoIterator<Item = Metric>) {
     for m in new {
@@ -214,8 +232,9 @@ fn read_baseline(path: &str) -> Result<Vec<Metric>, String> {
 }
 
 /// The gate: checks every floor on the fresh value, and compares each
-/// fresh metric that has a noise floor with the baseline entry of the
-/// same name. Returns one description per failure (empty = pass).
+/// fresh metric that has a noise floor, or is exact, with the baseline
+/// entry of the same name. Returns one description per failure (empty =
+/// pass).
 fn gate(fresh: &[Metric], baseline: &[Metric], tolerance_pct: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for m in fresh {
@@ -227,10 +246,19 @@ fn gate(fresh: &[Metric], baseline: &[Metric], tolerance_pct: f64) -> Vec<String
                 ));
             }
         }
-        let Some(noise_floor) = m.noise_floor else {
+        let Some(base) = baseline.iter().find(|b| b.name == m.name) else {
             continue;
         };
-        let Some(base) = baseline.iter().find(|b| b.name == m.name) else {
+        if m.exact {
+            if m.value != base.value {
+                failures.push(format!(
+                    "{}: {} vs baseline {} {} (an exact count changed)",
+                    m.name, m.value, base.value, m.unit
+                ));
+            }
+            continue;
+        }
+        let Some(noise_floor) = m.noise_floor else {
             continue;
         };
         if base.value <= 0.0 {
@@ -388,6 +416,34 @@ fn sweep_entry(
         ],
     );
     Ok(())
+}
+
+/// Phase 6: the deterministic work counts of the Figure 7 and ablation
+/// scenarios and of the Word sweep prefix (the `word-keystroke` prepare on
+/// NT 3.51), each gated exactly. Fast-forward and forking are pinned on,
+/// so the counts describe the default simulator whatever flags the timing
+/// phases ran with.
+fn count_phase(metrics: &mut Vec<Metric>) {
+    use latlab_bench::sweep::SweepMetric;
+    let _ff = latlab_os::fastforward::override_default(true);
+    let _fork = latlab_bench::forkcfg::override_default(true);
+    let mut tally = |what: &str, run: &dyn Fn()| {
+        latlab_os::work::take_tally();
+        run();
+        let counts = latlab_os::work::take_tally();
+        let named = counts.named();
+        record(
+            metrics,
+            named.map(|(name, n)| count(format!("count.{what}.{name}"), n)),
+        );
+    };
+    for id in ["fig7", "ablations"] {
+        tally(id, &|| drop(scenarios::run_by_id(id)));
+    }
+    tally("word-prefix", &|| {
+        let params = latlab_os::OsProfile::Nt351.params();
+        drop(SweepMetric::WordKeystrokeMs.prepare(params));
+    });
 }
 
 /// Starts an in-process server on an ephemeral port.
@@ -773,6 +829,8 @@ fn main() -> ExitCode {
             }
         }
     }
+    eprintln!("perf: deterministic work counts");
+    count_phase(&mut metrics);
     if let Some(kb) = peak_rss_kb() {
         metrics.push(Metric::info("suite.peak_rss_kb", kb as f64, "kB", Lower));
     }
@@ -898,6 +956,27 @@ mod tests {
     }
 
     #[test]
+    fn exact_counts_fail_on_any_difference() {
+        let turns = |n| count("count.fig7.loop_turns".to_owned(), n);
+        assert!(failures(&[turns(14_866)], &[turns(14_866)]).is_empty());
+        // One turn more or less fails: far under any tolerance, and a
+        // decrease fails as surely as an increase.
+        for moved in [14_865, 14_867] {
+            let fails = failures(&[turns(moved)], &[turns(14_866)]);
+            assert_eq!(fails.len(), 1, "{fails:?}");
+            assert!(fails[0].starts_with("count.fig7.loop_turns"), "{fails:?}");
+        }
+        // Zero is a count like any other, and a missing name is not compared.
+        let batches = |n| count("count.word-prefix.ff_batches".to_owned(), n);
+        assert_eq!(failures(&[batches(1)], &[batches(0)]).len(), 1);
+        assert!(failures(&[batches(0)], &[batches(0)]).is_empty());
+        assert!(failures(&[batches(7)], &[turns(14_866)]).is_empty());
+        // The flag survives the file round trip.
+        let json = serde_json::to_string(&turns(3)).unwrap();
+        assert!(serde_json::from_str::<Metric>(&json).unwrap().exact);
+    }
+
+    #[test]
     fn informational_metrics_never_gate() {
         let recovery = |ms| Metric::info("ingest.recovery_ms", ms, "ms", Lower);
         assert!(failures(&[recovery(1e9)], &[recovery(1.0)]).is_empty());
@@ -912,13 +991,13 @@ mod tests {
     fn reports_round_trip_and_other_schemas_are_refused() {
         let dir = std::env::temp_dir().join(format!("latlab-perf-gate-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v3.json");
+        let path = dir.join("v4.json");
         let report = Report {
             schema: SCHEMA.to_string(),
             metrics: vec![scenario_wall("fig1", 1.5), batch_speedup(3.0)],
         };
         std::fs::write(&path, serde_json::to_string_pretty(&report).unwrap()).unwrap();
-        let back = read_baseline(path.to_str().unwrap()).expect("v3 parses");
+        let back = read_baseline(path.to_str().unwrap()).expect("v4 parses");
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].name, "scenario.fig1.wall_ms_min");
         assert_eq!((back[0].noise_floor, back[1].floor), (Some(2.0), Some(1.5)));

@@ -120,7 +120,7 @@ fn runtime_failures_exit_1() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // A baseline that does not exist, or is not `latlab-perf-v3`, is a
+    // A baseline that does not exist, or is not `latlab-perf-v4`, is a
     // runtime failure for perf, reported before anything is measured (the
     // default sweep grid alone would take tens of seconds here), so no
     // report is written.

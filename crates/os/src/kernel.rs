@@ -36,6 +36,7 @@ use crate::sched::Scheduler;
 use crate::statelog::{IoKind, StateLog, Transition};
 use crate::sweep::{ParamWatermarks, SweptParam};
 use crate::win32::{CostEngine, WorkKind, WorkPacket};
+use crate::work::WorkCounts;
 
 /// Maximum zero-cost program steps before the kernel declares a runaway.
 const RUNAWAY_STEP_LIMIT: u32 = 10_000;
@@ -353,6 +354,8 @@ pub struct Machine {
     /// Main-loop turns taken, for O(events) regression tests only — not
     /// part of the machine's observable state.
     loop_turns: u64,
+    /// Kernel events fired (diagnostic, like `loop_turns`).
+    events_fired: u64,
     /// First-read watermarks of the sweepable cost parameters (see
     /// [`crate::sweep`]): the evidence the prefix-sharing sweep planner
     /// uses to prove a fork sound.
@@ -419,6 +422,7 @@ impl Machine {
             ff_stats: FastForwardStats::default(),
             ff_stamps: Vec::new(),
             loop_turns: 0,
+            events_fired: 0,
             watermarks,
             stamp_records: 0,
             api_records: 0,
@@ -735,6 +739,21 @@ impl Machine {
         self.loop_turns
     }
 
+    /// The deterministic work this machine has done so far (diagnostic,
+    /// like [`Machine::debug_loop_turns`]; see [`crate::work`]).
+    pub fn work_counts(&self) -> WorkCounts {
+        WorkCounts {
+            loop_turns: self.loop_turns,
+            events: self.events_fired,
+            clock_ticks: self.stats.clock_ticks,
+            context_switches: self.stats.context_switches,
+            messages_posted: self.stats.messages_posted,
+            ff_batches: self.ff_stats.batches,
+            ff_warm_iters: self.ff_stats.warm_iters,
+            ff_cold_iters: self.ff_stats.cold_iters,
+        }
+    }
+
     /// Appends to the API log and forwards to the API tee, if any.
     fn log_api(&mut self, entry: ApiLogEntry) {
         self.api_records += 1;
@@ -827,6 +846,7 @@ impl Machine {
             ff_stats: self.ff_stats.clone(),
             ff_stamps: self.ff_stamps.clone(),
             loop_turns: self.loop_turns,
+            events_fired: self.events_fired,
             watermarks: self.watermarks,
             stamp_records: self.stamp_records,
             api_records: self.api_records,
@@ -907,11 +927,13 @@ impl Machine {
     /// as [`Machine::is_quiescent`] holds — checked once per loop turn, i.e.
     /// at every event boundary and dispatch return, rather than on a fixed
     /// polling grid: quiescence is observed at the exact instant the last
-    /// piece of work retires.
+    /// piece of work retires. The run's work lands in this thread's
+    /// [`crate::work`] tally.
     fn run_loop(&mut self, t_end: SimTime, until_quiescent: bool) -> bool {
+        let before = self.work_counts();
         while self.now < t_end {
             if until_quiescent && self.is_quiescent() {
-                return true;
+                break;
             }
             self.loop_turns += 1;
             let turn_start = self.now;
@@ -923,6 +945,7 @@ impl Machine {
             let mask = self.cost.take_param_reads();
             self.watermarks.note_mask(mask, turn_start);
         }
+        crate::work::add(&self.work_counts().since(&before));
         until_quiescent && self.is_quiescent()
     }
 
@@ -931,6 +954,7 @@ impl Machine {
     fn turn(&mut self, t_end: SimTime) {
         // 1. Fire due events.
         if let Some((_, ev)) = self.pending.pop_due(self.now) {
+            self.events_fired += 1;
             self.handle_event(ev);
             return;
         }

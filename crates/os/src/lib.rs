@@ -32,6 +32,7 @@ pub mod statelog;
 pub mod sweep;
 pub mod tracebridge;
 pub mod win32;
+pub mod work;
 
 pub use apilog::{ApiEntry, ApiLog, ApiLogEntry, ApiOutcome};
 pub use fastforward::FastForwardOverride;
@@ -49,3 +50,4 @@ pub use program::{
 };
 pub use statelog::{IoKind, StateLog, StateRecord, Transition};
 pub use sweep::{ParamWatermarks, SweptParam};
+pub use work::WorkCounts;
