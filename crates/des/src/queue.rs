@@ -79,10 +79,28 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` for delivery at `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.entries.push((pack(at, seq), payload));
         self.sift_up(self.entries.len() - 1);
+    }
+
+    /// Takes the sequence number the next [`EventQueue::schedule`] would
+    /// have used, for an event the caller keeps outside the heap (the
+    /// kernel's clock interrupt). Comparing that event's `(at, seq)` with
+    /// [`EventQueue::precedes_head`] then orders it exactly as if it had
+    /// been scheduled here at this moment.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// True when an event at `at` holding sequence number `seq` would be
+    /// delivered before every pending entry (always, when none is pending).
+    pub fn precedes_head(&self, at: SimTime, seq: u64) -> bool {
+        self.entries
+            .first()
+            .is_none_or(|&(key, _)| pack(at, seq) < key)
     }
 
     /// Returns the timestamp of the earliest pending event, if any.
@@ -191,6 +209,37 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// An event held outside the heap under a reserved sequence number
+    /// interleaves with scheduled ones exactly as if it had been scheduled
+    /// at the moment of reservation: equal times keep insertion order.
+    #[test]
+    fn reserved_seq_keeps_insertion_order_at_equal_times() {
+        let t = SimTime::from_cycles(7);
+        let mut q = EventQueue::new();
+        q.schedule(t, "a");
+        let held = q.reserve_seq();
+        q.schedule(t, "c");
+        q.schedule(SimTime::from_cycles(9), "later");
+        // The held event (seq 1) goes after "a" (seq 0), before "c" (seq 2).
+        assert!(!q.precedes_head(t, held));
+        assert_eq!(q.pop(), Some((t, "a")));
+        assert!(q.precedes_head(t, held));
+        // An earlier time wins regardless of sequence; a later one loses.
+        assert!(q.precedes_head(SimTime::from_cycles(6), u64::MAX));
+        assert!(!q.precedes_head(SimTime::from_cycles(8), 0));
+        assert_eq!(q.pop(), Some((t, "c")));
+        // Re-reserving after more schedules lands behind them.
+        q.schedule(SimTime::from_cycles(9), "also later");
+        let again = q.reserve_seq();
+        assert!(!q.precedes_head(SimTime::from_cycles(9), again));
+        q.pop();
+        q.pop();
+        assert!(
+            q.precedes_head(SimTime::from_cycles(9), again),
+            "empty queue"
+        );
     }
 
     #[test]

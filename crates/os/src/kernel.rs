@@ -12,13 +12,12 @@
 //! The machine records ground truth (true event spans, true busy intervals)
 //! for methodology validation only; see [`crate::ground_truth`].
 
-use std::collections::VecDeque;
-
 use latlab_des::{EventQueue, SimDuration, SimRng, SimTime};
 use latlab_faults::{FaultKind, FaultPlan, FaultStats};
 use latlab_hw::disk::BLOCK_SIZE;
 use latlab_hw::{
-    CounterBank, CounterError, CounterId, Disk, EventCounts, HwEvent, Ring, WorkCharge,
+    CounterBank, CounterError, CounterId, Disk, EventCounts, HwEvent, IntervalTimer, Ring,
+    WorkCharge,
 };
 use latlab_trace::{Record as TraceRecord, TraceSink, VecSink};
 
@@ -35,7 +34,7 @@ use crate::program::{
 use crate::sched::Scheduler;
 use crate::statelog::{IoKind, StateLog, Transition};
 use crate::sweep::{ParamWatermarks, SweptParam};
-use crate::win32::{CostEngine, WorkKind, WorkPacket};
+use crate::win32::{CostEngine, Packets, WorkKind, WorkPacket};
 use crate::work::WorkCounts;
 
 /// Maximum zero-cost program steps before the kernel declares a runaway.
@@ -60,6 +59,17 @@ const EMIT_SPEC: ComputeSpec = ComputeSpec {
     data_pages: 2,
 };
 
+/// `total × done / cycles`, rounded down: the share of a packet's `total`
+/// events charged once `done` of its `cycles` have run. The product takes
+/// 128 bits only when it would overflow 64 (packets past ~4·10⁹ cycles
+/// with a large event total), so the common path stays one 64-bit divide.
+fn prorate(total: u64, done: u64, cycles: u64) -> u64 {
+    match total.checked_mul(done) {
+        Some(product) => product / cycles,
+        None => (u128::from(total) * u128::from(done) / u128::from(cycles)) as u64,
+    }
+}
+
 /// Counters for the idle fast-forward engine (diagnostic only; exposed via
 /// [`Machine::fast_forward_stats`]).
 #[derive(Clone, Default)]
@@ -79,11 +89,11 @@ pub const FOCUS_LOST: u32 = 0xF0C0_0000;
 /// `Message::User` payload delivered to a window gaining input focus.
 pub const FOCUS_GAINED: u32 = 0xF0C0_0001;
 
-/// Hardware/OS events the machine processes.
+/// Hardware/OS events the machine processes through its event queue. The
+/// periodic clock interrupt is not among them: the kernel keeps it on its
+/// own [`IntervalTimer`] (see [`Machine::next_event_time`]).
 #[derive(Clone, Debug)]
 enum MachineEvent {
-    /// Periodic clock interrupt.
-    ClockTick,
     /// User input arriving at the hardware.
     Input { id: u64, kind: InputKind },
     /// A synchronous disk request completed.
@@ -166,32 +176,32 @@ enum CallDisposition {
     Deschedule,
 }
 
-/// In-flight costed work.
+/// In-flight costed work: up to [`crate::win32::MAX_PACKETS`] packets
+/// run front to back, then the outcome. Held inline, so installing an exec
+/// never allocates.
 #[derive(Clone, Debug)]
 struct Exec {
-    packets: VecDeque<PacketProgress>,
+    /// The packets, zero-cycle ones dropped; `packets[front..]` remain.
+    packets: Packets,
+    front: usize,
+    /// Cycles of the front packet run so far.
+    done: u64,
+    /// Events of the front packet charged so far.
+    charged: EventCounts,
     outcome: Outcome,
 }
 
-#[derive(Clone, Debug)]
-struct PacketProgress {
-    packet: WorkPacket,
-    done: u64,
-    charged: EventCounts,
-}
-
 impl Exec {
-    fn new(packets: Vec<WorkPacket>, outcome: Outcome) -> Self {
+    fn new(packets: &[WorkPacket], outcome: Outcome) -> Self {
+        let mut kept = Packets::EMPTY;
+        for &p in packets.iter().filter(|p| p.cycles > 0) {
+            kept.push(p);
+        }
         Exec {
-            packets: packets
-                .into_iter()
-                .filter(|p| p.cycles > 0)
-                .map(|packet| PacketProgress {
-                    packet,
-                    done: 0,
-                    charged: EventCounts::ZERO,
-                })
-                .collect(),
+            packets: kept,
+            front: 0,
+            done: 0,
+            charged: EventCounts::ZERO,
             outcome,
         }
     }
@@ -332,7 +342,15 @@ pub struct Machine {
     network_sink: Option<ThreadId>,
     next_input_id: u64,
     last_input_at: SimTime,
-    next_tick_at: SimTime,
+    /// The periodic clock interrupt, kept out of `pending`: 6 of every 7
+    /// events a keystroke-driven run fires are ticks, and a heap round
+    /// trip per tick costs a walk of its full depth.
+    clock: IntervalTimer,
+    /// The queue sequence number the armed tick holds: reserved from
+    /// `pending` at the moment the tick is armed, so a tick and a queued
+    /// event due at the same instant fire in arming order, exactly as if
+    /// the tick were queued.
+    tick_seq: u64,
     tick_index: u64,
     mouse_spin: bool,
     deferred_mouse: Vec<(u64, InputKind)>,
@@ -385,7 +403,7 @@ impl Machine {
         let mut watermarks = ParamWatermarks::new();
         watermarks.note(SweptParam::CacheBlocks, SimTime::ZERO);
         let mut pending = EventQueue::new();
-        pending.schedule(SimTime::ZERO + tick, MachineEvent::ClockTick);
+        let tick_seq = pending.reserve_seq();
         if let Some(period) = params.background_period {
             pending.schedule(SimTime::ZERO + period, MachineEvent::Background);
         }
@@ -407,7 +425,8 @@ impl Machine {
             network_sink: None,
             next_input_id: 0,
             last_input_at: SimTime::ZERO,
-            next_tick_at: SimTime::ZERO + tick,
+            clock: IntervalTimer::new(tick, SimTime::ZERO),
+            tick_seq,
             tick_index: 0,
             mouse_spin: false,
             deferred_mouse: Vec::new(),
@@ -831,7 +850,8 @@ impl Machine {
             network_sink: self.network_sink,
             next_input_id: self.next_input_id,
             last_input_at: self.last_input_at,
-            next_tick_at: self.next_tick_at,
+            clock: self.clock,
+            tick_seq: self.tick_seq,
             tick_index: self.tick_index,
             mouse_spin: self.mouse_spin,
             deferred_mouse: self.deferred_mouse.clone(),
@@ -952,7 +972,14 @@ impl Machine {
     /// One main-loop turn: fire a due event, service a quirk busy-wait, or
     /// dispatch a thread.
     fn turn(&mut self, t_end: SimTime) {
-        // 1. Fire due events.
+        // 1. Fire due events: the clock interrupt when it is due and ahead
+        // of the queue's head, else the head if it is due.
+        let tick_at = self.clock.next_fire();
+        if tick_at <= self.now && self.pending.precedes_head(tick_at, self.tick_seq) {
+            self.events_fired += 1;
+            self.on_clock_tick();
+            return;
+        }
         if let Some((_, ev)) = self.pending.pop_due(self.now) {
             self.events_fired += 1;
             self.handle_event(ev);
@@ -960,7 +987,7 @@ impl Machine {
         }
         // 2. Busy-wait quirk states occupy the CPU ahead of all threads.
         if self.mouse_spin || self.lag_until.is_some() {
-            let mut target = self.pending.peek_time().unwrap_or(t_end).min(t_end);
+            let mut target = self.next_event_time().min(t_end);
             if let Some(lag_end) = self.lag_until {
                 target = target.min(lag_end);
             }
@@ -978,11 +1005,22 @@ impl Machine {
         // 3. Dispatch a thread.
         let Some((tid, _prio)) = self.sched.pop_highest() else {
             // True idle: jump to the next event (or the horizon).
-            let target = self.pending.peek_time().unwrap_or(t_end).min(t_end);
+            let target = self.next_event_time().min(t_end);
             self.now = if target > self.now { target } else { t_end };
             return;
         };
         self.run_thread(tid, t_end);
+    }
+
+    /// When the next event fires: the armed clock tick or the queue's head,
+    /// whichever is earlier. The clock is always armed, so there always is
+    /// one.
+    fn next_event_time(&self) -> SimTime {
+        let tick_at = self.clock.next_fire();
+        match self.pending.peek_time() {
+            Some(at) if at < tick_at => at,
+            _ => tick_at,
+        }
     }
 
     /// Notes a kernel-direct read of a swept parameter at the current
@@ -1011,7 +1049,6 @@ impl Machine {
 
     fn handle_event(&mut self, ev: MachineEvent) {
         match ev {
-            MachineEvent::ClockTick => self.on_clock_tick(),
             MachineEvent::Input { id, kind } => self.on_input(id, kind),
             MachineEvent::DiskDone { thread, bytes } => self.on_disk_done(thread, bytes),
             MachineEvent::AsyncIoDone {
@@ -1266,10 +1303,9 @@ impl Machine {
             }
             self.enqueue_message(tid, Message::Timer);
         }
-        // Schedule the next tick.
-        self.next_tick_at += self.params.clock_tick;
-        let at = self.next_tick_at;
-        self.pending.schedule(at, MachineEvent::ClockTick);
+        // Re-arm: the next tick takes its place in the queue's order now.
+        self.clock.acknowledge();
+        self.tick_seq = self.pending.reserve_seq();
     }
 
     fn on_input(&mut self, id: u64, kind: InputKind) {
@@ -1358,7 +1394,7 @@ impl Machine {
         let t = self.thread_mut(tid);
         debug_assert_eq!(t.state, ThreadState::BlockedIo);
         t.state = ThreadState::Ready;
-        t.exec = Some(Exec::new(Vec::new(), Outcome::Reply(ApiReply::Io(bytes))));
+        t.exec = Some(Exec::new(&[], Outcome::Reply(ApiReply::Io(bytes))));
         self.sched.enqueue(tid, prio);
     }
 
@@ -1438,7 +1474,7 @@ impl Machine {
                 .cost
                 .kernel_work(self.params.syscall_instr, WorkKind::Api);
             let t = self.thread_mut(tid);
-            t.exec = Some(Exec::new(vec![wake], Outcome::GetMessage));
+            t.exec = Some(Exec::new(&[wake], Outcome::GetMessage));
             self.sched.enqueue(tid, prio);
         }
     }
@@ -1459,7 +1495,7 @@ impl Machine {
             }
             self.last_ran = Some(tid);
             // The switch may have carried us past an event boundary.
-            if self.pending.peek_time().is_some_and(|t| t <= self.now) || self.now >= t_end {
+            if self.next_event_time() <= self.now || self.now >= t_end {
                 self.requeue_front(tid);
                 return;
             }
@@ -1480,7 +1516,7 @@ impl Machine {
             if self.thread(tid).exec.is_none() {
                 continue; // Inline action consumed; step again.
             }
-            let next_event = self.pending.peek_time().unwrap_or(SimTime::MAX);
+            let next_event = self.next_event_time();
             let quantum_end = self.now + SimDuration::from_cycles(self.thread(tid).quantum_left);
             let slice_end = t_end.min(next_event).min(quantum_end);
             if slice_end <= self.now {
@@ -1558,10 +1594,7 @@ impl Machine {
         if self.mouse_spin || self.lag_until.is_some() {
             return false;
         }
-        let horizon = match self.pending.peek_time() {
-            Some(at) => at.min(t_end),
-            None => t_end,
-        };
+        let horizon = self.next_event_time().min(t_end);
         if horizon <= self.now {
             return false;
         }
@@ -1752,41 +1785,43 @@ impl Machine {
     /// Returns `(consumed, finished)`.
     fn charge_thread(&mut self, tid: ThreadId, budget: u64) -> (u64, bool) {
         let start = self.now;
-        let is_busy = self.thread(tid).priority > Priority::MEASUREMENT;
+        let t = &mut self.threads[tid.0 as usize];
+        let is_busy = t.priority > Priority::MEASUREMENT;
+        let exec = t.exec.as_mut().expect("charge_thread without exec");
         let mut consumed = 0u64;
-        let mut finished = false;
-        loop {
-            let t = &mut self.threads[tid.0 as usize];
-            let exec = t.exec.as_mut().expect("charge_thread without exec");
-            let Some(pp) = exec.packets.front_mut() else {
-                finished = true;
-                break;
+        let finished = loop {
+            let Some(&packet) = exec.packets.get(exec.front) else {
+                break true;
             };
             if consumed >= budget {
-                break;
+                break false;
             }
-            let remaining = pp.packet.cycles - pp.done;
-            let take = remaining.min(budget - consumed);
-            // Prorate hardware events over the packet's cycles.
+            let take = (packet.cycles - exec.done).min(budget - consumed);
+            let done_after = exec.done + take;
             let mut delta = EventCounts::ZERO;
-            let done_after = pp.done + take;
-            for (event, total) in pp.packet.events.iter() {
-                let target = total * done_after / pp.packet.cycles;
-                delta.set(event, target - pp.charged.get(event));
+            if done_after == packet.cycles {
+                // Final slice: whatever the earlier slices left uncharged.
+                for (event, total) in packet.events.iter() {
+                    delta.set(event, total - exec.charged.get(event));
+                }
+                exec.front += 1;
+                exec.done = 0;
+                exec.charged = EventCounts::ZERO;
+            } else {
+                // Prorate hardware events over the packet's cycles.
+                for (event, total) in packet.events.iter() {
+                    if total > 0 {
+                        let target = prorate(total, done_after, packet.cycles);
+                        delta.set(event, target - exec.charged.get(event));
+                    }
+                }
+                exec.done = done_after;
+                exec.charged.accumulate(&delta);
             }
-            pp.done = done_after;
-            pp.charged.accumulate(&delta);
             t.cpu_cycles += take;
             self.counters.on_work(take, &delta);
             consumed += take;
-            if pp.done == pp.packet.cycles {
-                exec.packets.pop_front();
-                if exec.packets.is_empty() {
-                    finished = true;
-                    break;
-                }
-            }
-        }
+        };
         self.now += SimDuration::from_cycles(consumed);
         if is_busy {
             self.gt.on_busy(start, self.now);
@@ -1815,7 +1850,7 @@ impl Machine {
                     self.thread_mut(tid).zero_exec_streak = 0;
                     let packet = self.cost.compute(&spec);
                     self.thread_mut(tid).exec =
-                        Some(Exec::new(vec![packet], Outcome::Reply(ApiReply::None)));
+                        Some(Exec::new(&[packet], Outcome::Reply(ApiReply::None)));
                     return true;
                 }
                 Action::Call(call) => match self.build_call(tid, call) {
@@ -1863,14 +1898,14 @@ impl Machine {
         match call {
             ApiCall::GetMessage => {
                 let packets = self.cost.api_service(self.params.getmessage_instr, (6, 8));
-                self.thread_mut(tid).exec = Some(Exec::new(packets, Outcome::GetMessage));
+                self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::GetMessage));
                 CallDisposition::Work
             }
             ApiCall::PeekMessage => {
                 let packets = self
                     .cost
                     .api_service(self.params.getmessage_instr / 2, (4, 6));
-                self.thread_mut(tid).exec = Some(Exec::new(packets, Outcome::PeekMessage));
+                self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::PeekMessage));
                 CallDisposition::Work
             }
             ApiCall::Gdi { ops } => {
@@ -1882,18 +1917,18 @@ impl Machine {
                     self.thread_mut(tid).gdi_pending = 0;
                     let packets = self.cost.gdi_flush(pending);
                     self.thread_mut(tid).exec =
-                        Some(Exec::new(packets, Outcome::Reply(ApiReply::None)));
+                        Some(Exec::new(&packets, Outcome::Reply(ApiReply::None)));
                 } else {
                     let packet = self.cost.gdi_buffer(ops);
                     self.thread_mut(tid).exec =
-                        Some(Exec::new(vec![packet], Outcome::Reply(ApiReply::None)));
+                        Some(Exec::new(&[packet], Outcome::Reply(ApiReply::None)));
                 }
                 CallDisposition::Work
             }
             ApiCall::UserCall { instr } => {
                 let packets = self.cost.api_service(instr, (8, 10));
                 self.thread_mut(tid).exec =
-                    Some(Exec::new(packets, Outcome::Reply(ApiReply::None)));
+                    Some(Exec::new(&packets, Outcome::Reply(ApiReply::None)));
                 CallDisposition::Work
             }
             ApiCall::OpenFile { name } => {
@@ -1904,16 +1939,14 @@ impl Machine {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr * 2, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(
-                    vec![packet],
-                    Outcome::Reply(ApiReply::File(file)),
-                ));
+                self.thread_mut(tid).exec =
+                    Some(Exec::new(&[packet], Outcome::Reply(ApiReply::File(file))));
                 CallDisposition::Work
             }
             ApiCall::ReadFile { file, offset, len } => {
                 let (cpu, disk_time) = self.cost_read(file, offset, len);
                 self.thread_mut(tid).exec = Some(Exec::new(
-                    cpu,
+                    &[cpu],
                     Outcome::Io {
                         disk_time,
                         bytes: len,
@@ -1925,7 +1958,7 @@ impl Machine {
             ApiCall::WriteFile { file, offset, len } => {
                 let (cpu, disk_time) = self.cost_write(file, offset, len);
                 self.thread_mut(tid).exec = Some(Exec::new(
-                    cpu,
+                    &[cpu],
                     Outcome::Io {
                         disk_time,
                         bytes: len,
@@ -1942,7 +1975,7 @@ impl Machine {
             } => {
                 let (cpu, disk_time) = self.cost_read(file, offset, len);
                 self.thread_mut(tid).exec = Some(Exec::new(
-                    cpu,
+                    &[cpu],
                     Outcome::AsyncIo {
                         disk_time,
                         token,
@@ -1959,7 +1992,7 @@ impl Machine {
             } => {
                 let (cpu, disk_time) = self.cost_write(file, offset, len);
                 self.thread_mut(tid).exec = Some(Exec::new(
-                    cpu,
+                    &[cpu],
                     Outcome::AsyncIo {
                         disk_time,
                         token,
@@ -1972,7 +2005,7 @@ impl Machine {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(vec![packet], Outcome::Sleep(duration)));
+                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::Sleep(duration)));
                 CallDisposition::Work
             }
             ApiCall::PostMessage { target, msg } => {
@@ -1980,32 +2013,31 @@ impl Machine {
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
                 self.thread_mut(tid).exec =
-                    Some(Exec::new(vec![packet], Outcome::Post { target, msg }));
+                    Some(Exec::new(&[packet], Outcome::Post { target, msg }));
                 CallDisposition::Work
             }
             ApiCall::SetTimer { period } => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec =
-                    Some(Exec::new(vec![packet], Outcome::SetTimer(period)));
+                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::SetTimer(period)));
                 CallDisposition::Work
             }
             ApiCall::KillTimer => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(vec![packet], Outcome::KillTimer));
+                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::KillTimer));
                 CallDisposition::Work
             }
             ApiCall::ReadCycleCounter => {
                 let packet = self.cost.compute(&READ_CYCLES_SPEC);
-                self.thread_mut(tid).exec = Some(Exec::new(vec![packet], Outcome::ReadCycles));
+                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::ReadCycles));
                 CallDisposition::Work
             }
             ApiCall::Emit(v) => {
                 let packet = self.cost.compute(&EMIT_SPEC);
-                self.thread_mut(tid).exec = Some(Exec::new(vec![packet], Outcome::Emit(v)));
+                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::Emit(v)));
                 CallDisposition::Work
             }
             ApiCall::GtMark(mark) => {
@@ -2026,10 +2058,14 @@ impl Machine {
 
     /// Marks all retrieved-but-open input events as truly complete now.
     fn complete_open_events(&mut self, tid: ThreadId) {
-        let ids = std::mem::take(&mut self.thread_mut(tid).retrieved_open);
-        for id in ids {
+        let mut ids = std::mem::take(&mut self.thread_mut(tid).retrieved_open);
+        for &id in &ids {
             self.gt.on_complete(id, self.now);
         }
+        // Hand the buffer back, capacity intact: one retrieval per
+        // keystroke must not allocate.
+        ids.clear();
+        self.thread_mut(tid).retrieved_open = ids;
     }
 
     /// Resolves the outcome of a drained exec.
@@ -2132,7 +2168,7 @@ impl Machine {
         if self.thread(tid).gdi_pending > 0 {
             let ops = std::mem::take(&mut self.thread_mut(tid).gdi_pending);
             let packets = self.cost.gdi_flush(ops);
-            self.thread_mut(tid).exec = Some(Exec::new(packets, Outcome::GetMessage));
+            self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::GetMessage));
             return;
         }
         // Still empty: the previous events are truly complete (their output
@@ -2166,7 +2202,7 @@ impl Machine {
         if self.thread(tid).gdi_pending > 0 {
             let ops = std::mem::take(&mut self.thread_mut(tid).gdi_pending);
             let packets = self.cost.gdi_flush(ops);
-            self.thread_mut(tid).exec = Some(Exec::new(packets, Outcome::PeekMessage));
+            self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::PeekMessage));
             return;
         }
         self.complete_open_events(tid);
@@ -2209,8 +2245,8 @@ impl Machine {
 
     // --- I/O costing --------------------------------------------------------
 
-    /// Computes CPU packets and disk time for a read, updating the cache.
-    fn cost_read(&mut self, file: FileId, offset: u64, len: u64) -> (Vec<WorkPacket>, SimDuration) {
+    /// Computes the CPU packet and disk time for a read, updating the cache.
+    fn cost_read(&mut self, file: FileId, offset: u64, len: u64) -> (WorkPacket, SimDuration) {
         let runs = self.fs.map_range(file, offset, len);
         let mut hit_blocks = 0u64;
         let mut miss_blocks = 0u64;
@@ -2253,13 +2289,8 @@ impl Machine {
         (self.cost.read_cpu(hit_blocks, miss_blocks), disk_time)
     }
 
-    /// Computes CPU packets and disk time for a write-through write.
-    fn cost_write(
-        &mut self,
-        file: FileId,
-        offset: u64,
-        len: u64,
-    ) -> (Vec<WorkPacket>, SimDuration) {
+    /// Computes the CPU packet and disk time for a write-through write.
+    fn cost_write(&mut self, file: FileId, offset: u64, len: u64) -> (WorkPacket, SimDuration) {
         let runs = self.fs.map_range(file, offset, len);
         let mut blocks = 0u64;
         let mut disk_time = SimDuration::ZERO;
@@ -2332,9 +2363,10 @@ impl MachineSnapshot {
         (self.machine.stamp_records, self.machine.api_records)
     }
 
-    /// Pending simulation events captured in the snapshot.
+    /// Pending simulation events captured in the snapshot, the armed clock
+    /// tick included.
     pub fn pending_events(&self) -> usize {
-        self.machine.pending.len()
+        self.machine.pending.len() + 1
     }
 
     /// Threads (live or exited) captured in the snapshot.

@@ -39,7 +39,7 @@ pub enum WorkKind {
 }
 
 /// A fully costed, schedulable piece of CPU work.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorkPacket {
     /// Cycle cost.
     pub cycles: u64,
@@ -50,12 +50,57 @@ pub struct WorkPacket {
 }
 
 impl WorkPacket {
+    /// A packet of no work (zero cycles, no events).
+    pub const EMPTY: WorkPacket = WorkPacket {
+        cycles: 0,
+        events: EventCounts::ZERO,
+        kind: WorkKind::App,
+    };
+
     fn from_charge(charge: WorkCharge, kind: WorkKind) -> Self {
         WorkPacket {
             cycles: charge.cycles,
             events: charge.events,
             kind,
         }
+    }
+}
+
+/// The most packets one costed request produces: a user-level server's
+/// send, service and return.
+pub const MAX_PACKETS: usize = 3;
+
+/// Up to [`MAX_PACKETS`] work packets, held inline so costing a service
+/// call never allocates. Derefs to the slice of packets pushed so far.
+#[derive(Clone, Copy, Debug)]
+pub struct Packets {
+    items: [WorkPacket; MAX_PACKETS],
+    len: u8,
+}
+
+impl Packets {
+    /// An empty list.
+    pub const EMPTY: Packets = Packets {
+        items: [WorkPacket::EMPTY; MAX_PACKETS],
+        len: 0,
+    };
+
+    /// Appends a packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`MAX_PACKETS`].
+    pub fn push(&mut self, packet: WorkPacket) {
+        self.items[self.len as usize] = packet;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Packets {
+    type Target = [WorkPacket];
+
+    fn deref(&self) -> &[WorkPacket] {
+        &self.items[..self.len as usize]
     }
 }
 
@@ -209,12 +254,8 @@ impl CostEngine {
     /// Costs one Win32 API service of `service_instr` GUI-side instructions
     /// touching `(code, data)` service pages, including the architectural
     /// crossing.
-    pub fn api_service(
-        &mut self,
-        service_instr: u64,
-        service_pages: (u32, u32),
-    ) -> Vec<WorkPacket> {
-        let mut packets = Vec::with_capacity(3);
+    pub fn api_service(&mut self, service_instr: u64, service_pages: (u32, u32)) -> Packets {
+        let mut packets = Packets::EMPTY;
         self.reads |= SweptParam::CrossingInstr.bit();
         let service_instr = self.gui_instr(service_instr);
         match self.params.win32 {
@@ -280,7 +321,7 @@ impl CostEngine {
     /// Drawing uses the personality's GDI path factor, not the USER-chrome
     /// factor — the two differ on Windows 95 (compact 16-bit GDI vs.
     /// thunk-heavy USER).
-    pub fn gdi_flush(&mut self, ops: u32) -> Vec<WorkPacket> {
+    pub fn gdi_flush(&mut self, ops: u32) -> Packets {
         self.reads |= SweptParam::GdiPathMilli.bit() | SweptParam::GuiPathMilli.bit();
         let service = self.params.gdi_op_instr * ops as u64 * self.params.gdi_path_milli
             / self.params.gui_path_milli.max(1);
@@ -297,7 +338,7 @@ impl CostEngine {
 
     /// Costs the CPU side of a read: cache-hit copies plus page-in
     /// bookkeeping for missed blocks.
-    pub fn read_cpu(&mut self, hit_blocks: u64, miss_blocks: u64) -> Vec<WorkPacket> {
+    pub fn read_cpu(&mut self, hit_blocks: u64, miss_blocks: u64) -> WorkPacket {
         let instr = self.params.syscall_instr
             + hit_blocks * self.params.copy_instr_per_block
             + miss_blocks * self.params.page_in_instr_per_block;
@@ -305,11 +346,11 @@ impl CostEngine {
         // Copies touch the destination buffer.
         let touched = ((hit_blocks + miss_blocks).min(32)) as u32;
         self.add_tlb_touch(&mut charge, 4, 6 + touched);
-        vec![WorkPacket::from_charge(charge, WorkKind::Io)]
+        WorkPacket::from_charge(charge, WorkKind::Io)
     }
 
     /// Costs the CPU side of a write-through write of `blocks` blocks.
-    pub fn write_cpu(&mut self, blocks: u64) -> Vec<WorkPacket> {
+    pub fn write_cpu(&mut self, blocks: u64) -> WorkPacket {
         let base = self.params.syscall_instr
             + blocks * (self.params.copy_instr_per_block + self.params.page_in_instr_per_block);
         self.reads |= SweptParam::WriteOverheadMilli.bit();
@@ -317,7 +358,7 @@ impl CostEngine {
         let mut charge = self.charge_mix(MixClass::Kernel, instr);
         let touched = (blocks.min(32)) as u32;
         self.add_tlb_touch(&mut charge, 4, 6 + touched);
-        vec![WorkPacket::from_charge(charge, WorkKind::Io)]
+        WorkPacket::from_charge(charge, WorkKind::Io)
     }
 
     /// Costs a slice of busy-wait spin (quirk states), `cycles` long.
@@ -485,8 +526,8 @@ mod tests {
     fn write_overhead_applies() {
         let mut e40 = engine(OsProfile::Nt40);
         let mut e351 = engine(OsProfile::Nt351);
-        let (c40, _) = total(&e40.write_cpu(100));
-        let (c351, _) = total(&e351.write_cpu(100));
+        let c40 = e40.write_cpu(100).cycles;
+        let c351 = e351.write_cpu(100).cycles;
         assert!(
             c40 > c351,
             "NT 4.0 write path must cost more (Table 1 Save)"

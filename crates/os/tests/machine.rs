@@ -809,3 +809,87 @@ fn quiescence_holds_when_a_thread_exits_with_queued_messages() {
         "an exited thread with undrained messages must still count as quiescent"
     );
 }
+
+/// Computes once, then exits.
+#[derive(Clone)]
+struct OneShot(Option<u64>);
+
+impl Program for OneShot {
+    fn step(&mut self, _ctx: &mut StepCtx) -> Action {
+        match self.0.take() {
+            Some(instr) => Action::Compute(ComputeSpec::app(instr)),
+            None => Action::Exit,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "one-shot"
+    }
+}
+
+#[test]
+fn long_packets_prorate_without_overflow() {
+    use latlab_hw::{HwEvent, MixAccumulator};
+    // Past ~4·10⁹ cycles, `total × done` no longer fits in 64 bits.
+    const INSTR: u64 = 6_000_000_000;
+    let mut params = OsProfile::Nt40.params();
+    // No clock interrupt or quantum expiry inside the ~70 s packet, so the
+    // only slicing is the caller's: one run, or 200 one-second runs.
+    params.clock_tick = latlab_des::CpuFreq::PENTIUM_100.secs(1_000);
+    let run = |steps: u64| {
+        let mut m = Machine::new(params.clone());
+        m.spawn(ProcessSpec::app("one-shot"), Box::new(OneShot(Some(INSTR))));
+        for i in 1..=steps {
+            m.run_until(at_ms(200_000 * i / steps));
+        }
+        assert!(
+            m.is_quiescent(),
+            "the packet finished and the thread exited"
+        );
+        *m.counter_ground_truth()
+    };
+    let sliced = run(200);
+    assert_eq!(sliced, run(1), "slicing changed the counter totals");
+    // The totals are the context switch plus the compute, each charged
+    // unsliced by the personality's mix.
+    let switch = MixAccumulator::new().charge(&params.kernel_mix, params.context_switch_instr);
+    let compute = MixAccumulator::new().charge(&params.app_mix, INSTR);
+    for event in [
+        HwEvent::Instructions,
+        HwEvent::DataRefs,
+        HwEvent::SegmentLoads,
+        HwEvent::UnalignedAccesses,
+    ] {
+        let want = switch.events.get(event) + compute.events.get(event);
+        assert_eq!(sliced.get(event), want, "{event}");
+    }
+}
+
+#[test]
+fn input_on_a_tick_instant_orders_by_scheduling_time() {
+    // Each clock tick takes its queue position when the previous tick
+    // re-arms it. An input scheduled at boot for the second tick's instant
+    // is older than that tick, so it arrives at the instant itself.
+    let mut early = Machine::new(OsProfile::Nt40.params());
+    let id = early.schedule_input_at(at_ms(20), InputKind::Key(KeySym::Char('e')));
+    early.run_until(at_ms(30));
+    assert_eq!(early.ground_truth().event(id).unwrap().arrived, at_ms(20));
+
+    // Scheduled after the first tick re-armed the second, the input is
+    // younger: the tick's interrupt runs first and the input arrives when
+    // its charge ends. A machine with no input shows where that is.
+    let mut quiet = Machine::new(OsProfile::Nt40.params());
+    quiet.run_until(at_ms(20));
+    quiet.run_until(at_ms(20) + SimDuration::from_cycles(1));
+    let tick_end = quiet.now();
+    assert!(
+        tick_end > at_ms(20),
+        "the tick at 20 ms charged its interrupt"
+    );
+
+    let mut late = Machine::new(OsProfile::Nt40.params());
+    late.run_until(at_ms(15));
+    let id = late.schedule_input_at(at_ms(20), InputKind::Key(KeySym::Char('l')));
+    late.run_until(at_ms(30));
+    assert_eq!(late.ground_truth().event(id).unwrap().arrived, tick_end);
+}
