@@ -430,11 +430,10 @@ fn count_phase(metrics: &mut Vec<Metric>) {
     let mut tally = |what: &str, run: &dyn Fn()| {
         latlab_os::work::take_tally();
         run();
-        let counts = latlab_os::work::take_tally();
-        let named = counts.named();
+        let counts = latlab_os::work::take_tally().named();
         record(
             metrics,
-            named.map(|(name, n)| count(format!("count.{what}.{name}"), n)),
+            counts.map(|(name, n)| count(format!("count.{what}.{name}"), n)),
         );
     };
     for id in ["fig7", "ablations"] {

@@ -4,7 +4,9 @@
 //! instant are delivered in insertion order. Stability matters for
 //! determinism: the simulated machine frequently schedules several events at
 //! the same cycle (e.g. a clock interrupt and a message arrival), and the
-//! resulting behaviour must not depend on heap internals.
+//! resulting behaviour must not depend on heap internals. An event kept
+//! outside the heap (the kernel's clock interrupt) joins that order by
+//! holding a sequence number from [`EventQueue::reserve_seq`].
 //!
 //! # Implementation
 //!

@@ -342,9 +342,10 @@ pub struct Machine {
     network_sink: Option<ThreadId>,
     next_input_id: u64,
     last_input_at: SimTime,
-    /// The periodic clock interrupt, kept out of `pending`: 6 of every 7
-    /// events a keystroke-driven run fires are ticks, and a heap round
-    /// trip per tick costs a walk of its full depth.
+    /// The periodic clock interrupt, kept out of `pending`: nearly every
+    /// event a keystroke-driven run fires is a tick (6,209 of 6,609 in the
+    /// Word sweep prefix), and a heap round trip per tick walks the heap's
+    /// full depth past the pre-scheduled input.
     clock: IntervalTimer,
     /// The queue sequence number the armed tick holds: reserved from
     /// `pending` at the moment the tick is armed, so a tick and a queued

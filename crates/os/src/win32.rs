@@ -51,7 +51,7 @@ pub struct WorkPacket {
 
 impl WorkPacket {
     /// A packet of no work (zero cycles, no events).
-    pub const EMPTY: WorkPacket = WorkPacket {
+    const EMPTY: WorkPacket = WorkPacket {
         cycles: 0,
         events: EventCounts::ZERO,
         kind: WorkKind::App,

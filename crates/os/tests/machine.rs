@@ -893,3 +893,40 @@ fn input_on_a_tick_instant_orders_by_scheduling_time() {
     late.run_until(at_ms(30));
     assert_eq!(late.ground_truth().event(id).unwrap().arrived, tick_end);
 }
+
+#[test]
+fn time_only_moves_forward() {
+    // A Windows 95 machine (background bursts, the mouse-press busy-wait)
+    // cut at odd horizons that fall mid-packet: every stop lands at or
+    // past its horizon and never before the previous one, and nothing is
+    // stamped before an earlier record.
+    let mut m = Machine::new(OsProfile::Win95.params());
+    let app = m.spawn(ProcessSpec::app("echo"), Box::new(EchoLoop::new(300_000)));
+    m.set_focus(app);
+    let mut ids = Vec::new();
+    for i in 0..20 {
+        ids.push(m.schedule_input_at(at_ms(5 + i * 37), InputKind::Key(KeySym::Char('t'))));
+    }
+    m.schedule_input_at(at_ms(800), InputKind::MouseDown(MouseButton::Left));
+    m.schedule_input_at(at_ms(830), InputKind::MouseUp(MouseButton::Left));
+    let mut last = m.now();
+    for step in 1..=900u64 {
+        let horizon = SimTime::ZERO + SimDuration::from_cycles(123_457 * step);
+        m.run_until(horizon);
+        assert!(m.now() >= horizon && m.now() >= last, "step {step}");
+        last = m.now();
+    }
+    for pair in m.apilog().entries().windows(2) {
+        assert!(pair[0].at <= pair[1].at, "{pair:?}");
+    }
+    for pair in m.state_log().records().windows(2) {
+        assert!(pair[0].at <= pair[1].at, "{pair:?}");
+    }
+    for id in ids {
+        let e = m.ground_truth().event(id).unwrap();
+        let done = e.completed.expect("every keystroke completed");
+        assert!(e.arrived <= e.enqueued.unwrap());
+        assert!(e.enqueued.unwrap() <= e.retrieved.unwrap());
+        assert!(e.retrieved.unwrap() <= done && done <= last);
+    }
+}
