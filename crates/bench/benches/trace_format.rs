@@ -6,7 +6,9 @@
 //! way. These benchmarks push 100k-record streams of each kind through
 //! the writer and reader, and time the server's ingest decode on an
 //! idle corpus: the column path (`feed` + `poll_batch` + a gap walk)
-//! against the fused gap kernel (`feed_gaps`).
+//! against the fused gap kernel (`feed_gaps`). The fused kernel is also
+//! timed on a recorded trace, Figure 11's NT 3.51 Word session, whose
+//! 1 ms baseline makes its deltas three- and four-byte varints.
 
 use std::time::Duration;
 
@@ -145,6 +147,23 @@ fn bench_trace_format(c: &mut Criterion) {
                 w.write(&Record::Api(*r)).unwrap();
             }
             black_box(w.finish().unwrap().len())
+        })
+    });
+
+    // Recorded in process, as `repro --record` writes it.
+    let recorded = latlab_bench::record::word_session_stamps();
+    let mut d = StreamDecoder::new();
+    d.feed_gaps(&recorded, &mut Vec::new()).unwrap();
+    g.throughput(Throughput::Elements(d.records_decoded()));
+    g.bench_function("idle_fused_gaps_recorded", |b| {
+        let mut excess = Vec::new();
+        b.iter(|| {
+            let mut d = StreamDecoder::new();
+            excess.clear();
+            for frame in black_box(&recorded).chunks(FRAME) {
+                d.feed_gaps(frame, &mut excess).unwrap();
+            }
+            excess.len()
         })
     });
 

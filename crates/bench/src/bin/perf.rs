@@ -19,7 +19,8 @@
 //! 3. **ingest**: `--ingest-connections` uploaders slam an in-process
 //!    `latlab-serve` on loopback for `--ingest-secs` while a prober times
 //!    queries; the decode → extract → fold pipeline in process, batch vs
-//!    scalar; then the same slam with the write-ahead log on, a crash,
+//!    scalar, and batch on a recorded Word trace; then the same slam with
+//!    the write-ahead log on, a crash,
 //!    and a timed log replay (`--ingest-secs 0` skips phases 3 and 4);
 //! 4. **query**: the incremental query plane against the reference full
 //!    merge, and query latency under ingest at 1, 32 and 512 scenarios;
@@ -31,6 +32,12 @@
 //!    events, clock ticks, context switches, messages posted, fast-forward
 //!    batches and iterations) for fig7, the ablations and the Word sweep
 //!    prefix.
+//!
+//! Before each timed phase (1 to 5), a fixed integer loop is timed and
+//! its ns per iteration recorded as `host.calib_ns.<phase>`: the
+//! paper's §2.3 calibration turned on the host, so a wall-clock figure
+//! can be read against the host speed its phase ran at. It is reported
+//! only, never gated.
 //!
 //! Every phase pushes its figures onto one flat list of named metrics,
 //! written to `BENCH_repro.json` (override with `--out`) as schema
@@ -286,6 +293,29 @@ fn gate(fresh: &[Metric], baseline: &[Metric], tolerance_pct: f64) -> Vec<String
     failures
 }
 
+/// Iterations of [`calibrate`]'s loop: some 10 ms on a current core.
+const CALIBRATION_ITERS: u64 = 10_000_000;
+
+/// The paper's §2.3 calibration turned on the host: times a fixed
+/// integer loop and records its ns per iteration as
+/// `host.calib_ns.<phase>`. Shared hosts drift through speed phases, so
+/// a wall-clock figure reads against the speed its phase started at.
+/// Informational: it never passes or fails a gate.
+fn calibrate(phase: &str, metrics: &mut Vec<Metric>) {
+    let t0 = Instant::now();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..std::hint::black_box(CALIBRATION_ITERS) {
+        // A xorshift step: a serial chain of integer operations.
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    std::hint::black_box(x);
+    let ns = t0.elapsed().as_secs_f64() * 1e9 / CALIBRATION_ITERS as f64;
+    let name = format!("host.calib_ns.{phase}");
+    record(metrics, [Metric::info(name, ns, "ns", Lower)]);
+}
+
 /// Peak RSS of the current process in kB (`VmHWM`), Linux only.
 fn peak_rss_kb() -> Option<u64> {
     if !cfg!(target_os = "linux") {
@@ -467,33 +497,30 @@ fn slam_config(server: &Server, scenario: &str, secs: u64, connections: usize) -
     }
 }
 
-/// In-process throughput of the server-side ingest pipeline — decode,
-/// sample extraction, sketch fold — over one recorded idle-stamp corpus,
-/// batch vs scalar. No sockets, single thread: this isolates exactly the
-/// code the two paths disagree on, which loopback MB/s (client + kernel
-/// + server on shared cores) cannot.
-fn pipeline_bench() -> (f64, f64) {
-    let corpus = latlab_serve::idle_corpus(1 << 21, 0xbe9c, 64);
+/// In-process throughput (MB/s) of the server-side ingest pipeline —
+/// decode, sample extraction, sketch fold — over `corpus` in 64 KiB
+/// frames, fused or scalar. No sockets, single thread: this isolates
+/// exactly the code the two paths disagree on, which loopback MB/s
+/// (client + kernel + server on shared cores) cannot.
+fn fold_rate(corpus: &[u8], scalar: bool) -> f64 {
     let frame = 64 * 1024;
-    let rate = |scalar: bool| -> f64 {
-        // One warmup fold (page in the corpus, size the buffers), then
-        // measure whole passes until enough wall clock has accumulated.
-        let _ = latlab_serve::fold_corpus(&corpus, frame, EventClass::Keystroke, scalar);
-        let (mut bytes, mut passes) = (0u64, 0u32);
-        let t0 = Instant::now();
-        while passes < 3 || t0.elapsed() < Duration::from_millis(300) {
-            let run = latlab_serve::fold_corpus(&corpus, frame, EventClass::Keystroke, scalar);
-            bytes += run.bytes;
-            passes += 1;
-        }
-        bytes as f64 / 1e6 / t0.elapsed().as_secs_f64()
-    };
-    (rate(false), rate(true))
+    // One warmup fold (page in the corpus, size the buffers), then
+    // measure whole passes until enough wall clock has accumulated.
+    let _ = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, scalar);
+    let (mut bytes, mut passes) = (0u64, 0u32);
+    let t0 = Instant::now();
+    while passes < 3 || t0.elapsed() < Duration::from_millis(300) {
+        let run = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, scalar);
+        bytes += run.bytes;
+        passes += 1;
+    }
+    bytes as f64 / 1e6 / t0.elapsed().as_secs_f64()
 }
 
 /// Phase 3: the ingest benchmark. A loopback slam with the WAL off (the
 /// headline throughput and query latency), the in-process batch-vs-scalar
-/// pipeline, then the same slam with the WAL on and uploads on the
+/// pipeline on the synthetic corpus and the fused one on a recorded
+/// trace, then the same slam with the WAL on and uploads on the
 /// resumable path, a crash (no drain, no checkpoint) and a timed restart
 /// that replays the log the crash left behind.
 fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std::io::Result<()> {
@@ -506,7 +533,9 @@ fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std
     server.request_shutdown();
     let _ = server.join();
     let mb_per_sec = report.mb_per_sec();
-    let (batch, scalar) = pipeline_bench();
+    let synthetic = latlab_serve::idle_corpus(1 << 21, 0xbe9c, 64);
+    let (batch, scalar) = (fold_rate(&synthetic, false), fold_rate(&synthetic, true));
+    let recorded = fold_rate(&latlab_bench::record::word_session_stamps(), false);
     record(
         metrics,
         [
@@ -528,6 +557,7 @@ fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std
             Metric::info("ingest.pipeline_batch_mb_per_sec", batch, "MB/s", Higher),
             Metric::info("ingest.pipeline_scalar_mb_per_sec", scalar, "MB/s", Higher),
             batch_speedup(if scalar > 0.0 { batch / scalar } else { 0.0 }),
+            Metric::info("ingest.recorded_fused_mb_per_s", recorded, "MB/s", Higher),
         ],
     );
 
@@ -776,9 +806,11 @@ fn main() -> ExitCode {
         if fastforward { "on" } else { "off" },
     );
     let mut metrics = Vec::new();
+    calibrate("scenarios", &mut metrics);
     let (seq_total_ms, mut any_failed) = scenario_phase(&ids, iters, &mut metrics);
 
     // Phase 2: one full pass of the set through the job pool.
+    calibrate("pool", &mut metrics);
     let cfg = engine::EngineConfig {
         jobs: jobs_pooled,
         fastforward,
@@ -807,9 +839,11 @@ fn main() -> ExitCode {
 
     if ingest_secs > 0 {
         eprintln!("perf: ingest and query benchmarks — {ingest_connections} connection(s)");
+        calibrate("ingest", &mut metrics);
         if let Err(e) = ingest_phase(ingest_secs, ingest_connections, &mut metrics) {
             return cli::runtime_error(BIN, &format!("ingest benchmark failed: {e}"));
         }
+        calibrate("query", &mut metrics);
         if let Err(e) = query_phase(ingest_secs, ingest_connections, &mut metrics) {
             return cli::runtime_error(BIN, &format!("query benchmark failed: {e}"));
         }
@@ -819,6 +853,7 @@ fn main() -> ExitCode {
         use latlab_bench::sweep::SweepMetric::{NotepadKeystrokeMs, WordKeystrokeMs};
         use latlab_os::OsProfile::{Nt351, Nt40};
         eprintln!("perf: sweep benchmark — full grid, {sweep_reps} rep(s), forked vs scratch");
+        calibrate("sweep", &mut metrics);
         for (id, os, metric) in [
             ("fig5-word", Nt351, WordKeystrokeMs),
             ("fig7-notepad", Nt40, NotepadKeystrokeMs),
@@ -979,6 +1014,18 @@ mod tests {
     fn informational_metrics_never_gate() {
         let recovery = |ms| Metric::info("ingest.recovery_ms", ms, "ms", Lower);
         assert!(failures(&[recovery(1e9)], &[recovery(1.0)]).is_empty());
+        // A host calibration reading is recorded, never judged, however
+        // far it is from the baseline's.
+        let mut calib = Vec::new();
+        calibrate("ingest", &mut calib);
+        assert_eq!(calib.len(), 1);
+        assert_eq!(calib[0].name, "host.calib_ns.ingest");
+        assert!(calib[0].value > 0.0);
+        let slow = Metric {
+            value: 1e-6,
+            ..calib[0].clone()
+        };
+        assert!(failures(&calib, &[slow]).is_empty());
         // The floor-only rows are not compared with the baseline.
         assert!(failures(&[batch_speedup(1.6)], &[batch_speedup(3.0)]).is_empty());
         assert!(failures(&[incremental_speedup(6.0)], &[incremental_speedup(900.0)]).is_empty());

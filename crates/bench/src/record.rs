@@ -112,3 +112,29 @@ pub(crate) fn open_run_sinks(
     let api = make(StreamKind::ApiLog).expect("failed to create apilog trace file");
     Some((stamps, api))
 }
+
+/// The idle-stamp trace of Figure 11's NT 3.51 Word session, recorded
+/// in process: the run `repro --record DIR fig11` writes to
+/// `fig11-01-nt351-word.stamps.ltrc`, as bytes. About 115,000 stamps at
+/// the recorded 1 ms baseline (100,000 cycles), so its deltas are the
+/// three- and four-byte varints real uploads carry; the benchmarks
+/// measure ingest decode on it beside the synthetic corpora.
+pub fn word_session_stamps() -> Vec<u8> {
+    use crate::runner::{run_session, App};
+    let script = latlab_input::workloads::word_session();
+    let out = run_session(
+        latlab_os::OsProfile::Nt351,
+        App::Word,
+        latlab_input::TestDriver::ms_test(),
+        &script,
+        latlab_core::BoundaryPolicy::MergeUntilEmpty,
+        5,
+    );
+    let mut bytes = Vec::new();
+    let seed = script_fingerprint(&script.to_json());
+    out.measurement
+        .trace
+        .write_to(&mut bytes, "nt351-word", seed)
+        .expect("in-memory trace write");
+    bytes
+}

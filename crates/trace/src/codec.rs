@@ -149,10 +149,18 @@ pub fn decode_stamp_chunk(
 /// column that compares each stamp to its predecessor — same state
 /// updates through the references, same excess sequence, same error at
 /// the same record index, with every excess before a failure already in
-/// `out` — but in one pass. Each record takes the same step as in
-/// [`decode_stamp_chunk`], so errors are reported exactly as there.
-/// Excesses are staged in a stack buffer of 64 records so that
-/// keeping or dropping one is arithmetic rather than a branch.
+/// `out` — but in one pass.
+///
+/// Records go in blocks of 64. A full block with its worst case of four
+/// bytes per record still in the payload decodes under one check for
+/// the whole block (see `gap_block`): its reads are bounded once, and
+/// a zero delta, a varint of five or more bytes, or a block sum that
+/// would overflow the stamp flags it instead of failing. A flagged
+/// block, the tail block and a stream's first stamp take the per-record
+/// step of [`decode_stamp_chunk`] — a flagged block re-walked from its
+/// start — so errors are reported exactly as there. Excesses are staged
+/// in a stack buffer (`Staged`) so that keeping or dropping one is
+/// arithmetic rather than a branch.
 ///
 /// Returns the payload bytes consumed.
 ///
@@ -185,8 +193,22 @@ pub fn decode_stamp_gaps(
         // predictor learns, so every gap's excess is written to a stack
         // buffer and kept only when the gap is over the baseline; each
         // buffer is appended to `out`, a partial one before an error.
-        let mut staged = [0u64; STAGED];
+        let mut staged: Staged = [0; 256];
         while left > 0 {
+            if left >= STAGED as u32 {
+                if let Some(win) = payload[pos..].first_chunk::<BLOCK_BYTES>() {
+                    let block = gap_block(win, baseline, &mut staged);
+                    let end = block.and_then(|b| prev.checked_add(b.sum).map(|end| (b, end)));
+                    if let Some((block, end)) = end {
+                        out.extend_from_slice(&staged[..usize::from(block.kept)]);
+                        prev = end;
+                        n += STAGED as u64;
+                        pos += block.used;
+                        left -= STAGED as u32;
+                        continue;
+                    }
+                }
+            }
             let block = left.min(STAGED as u32);
             let mut kept = 0usize;
             let mut step = Ok(());
@@ -219,8 +241,105 @@ pub fn decode_stamp_gaps(
     result.map(|()| pos)
 }
 
-/// Records per stack buffer of staged excesses in [`decode_stamp_gaps`].
+/// Records per stack buffer of staged excesses in [`decode_stamp_gaps`],
+/// and per block of its once-checked path.
 const STAGED: usize = 64;
+
+/// The payload bytes a block of [`STAGED`] records may read when none
+/// takes more than four.
+const BLOCK_BYTES: usize = 4 * STAGED;
+
+/// The stack buffer of staged excesses. Either path stages at most one
+/// block of [`STAGED`]; the 256 slots let the once-checked path index
+/// it with a `u8` count and no bounds check.
+type Staged = [u64; 256];
+
+/// What [`gap_block`] made of one block: its running state while it
+/// decodes, its result after.
+#[derive(Default)]
+struct GapBlock {
+    /// Payload bytes the block's varints took.
+    used: usize,
+    /// Excesses staged at the front of the buffer.
+    kept: u8,
+    /// The block's deltas summed: the stamp advances by this much.
+    sum: u64,
+    /// Bit 31 is set when some varint took five or more bytes, or some
+    /// delta was zero.
+    flags: u32,
+}
+
+impl GapBlock {
+    /// Decodes the delta at `win[self.used..]` and stages its excess.
+    #[inline(always)]
+    fn step(&mut self, win: &[u8; BLOCK_BYTES], baseline: u64, staged: &mut Staged) {
+        // SAFETY: `gap_block` takes STAGED steps from `used = 0`, each
+        // advancing `used` by at most four bytes, so the last read starts
+        // at most 63·4 = 252 bytes in and ends inside the 256-byte window.
+        let word = unsafe { load_word(win, self.used) };
+        // The width is a branch rather than arithmetic on the word: a
+        // predicted branch lets the next record's read start before this
+        // one decodes, where a computed width would chain them.
+        let low = (word & 0x7f) | ((word >> 1) & 0x3f80);
+        let (delta, width) = if word & 0x80 == 0 {
+            (word & 0x7f, 1)
+        } else if word & 0x8000 == 0 {
+            (low, 2)
+        } else if word & 0x80_0000 == 0 {
+            (low | ((word >> 2) & 0x1f_c000), 3)
+        } else {
+            // Four bytes; the fourth byte's top bit is set when the
+            // varint goes on.
+            self.flags |= word;
+            let high = ((word >> 2) & 0x1f_c000) | ((word >> 3) & 0xfe0_0000);
+            (low | high, 4)
+        };
+        // A zero delta wraps to all ones; any other is below 2^28.
+        self.flags |= delta.wrapping_sub(1);
+        self.used += width;
+        let delta = u64::from(delta);
+        self.sum += delta;
+        staged[usize::from(self.kept)] = delta.wrapping_sub(baseline);
+        self.kept += u8::from(delta > baseline);
+    }
+}
+
+/// Decodes the [`STAGED`] deltas at the start of `win` as one unit,
+/// staging each excess over `baseline` as [`decode_stamp_gaps`] does.
+/// Returns `None` when the block is flagged: some varint took five or
+/// more bytes, or some delta was zero. The caller then re-walks the
+/// block record by record, which reports exactly what is wrong, if
+/// anything.
+///
+/// Every varint of one to four bytes decodes here, from one
+/// little-endian word. A longer one counts as four bytes, which keeps
+/// every read inside `win`. Four bytes hold every delta below 2^28
+/// cycles (2.7 s at 100 MHz), so 64 of them sum far below `u64::MAX`;
+/// the caller adds the sum to the stamp once.
+#[inline(always)]
+fn gap_block(win: &[u8; BLOCK_BYTES], baseline: u64, staged: &mut Staged) -> Option<GapBlock> {
+    let mut block = GapBlock::default();
+    // Two steps a turn halve the loop's own overhead.
+    for _ in 0..STAGED / 2 {
+        block.step(win, baseline, staged);
+        block.step(win, baseline, staged);
+    }
+    (block.flags & 0x8000_0000 == 0).then_some(block)
+}
+
+/// The four bytes at `win[at..at + 4]` as a little-endian word, read
+/// without a bounds check: the one unchecked read of the gap kernel.
+///
+/// # Safety
+///
+/// `at + 4 <= BLOCK_BYTES`.
+#[inline(always)]
+unsafe fn load_word(win: &[u8; BLOCK_BYTES], at: usize) -> u32 {
+    debug_assert!(at + 4 <= BLOCK_BYTES, "block read at {at}");
+    // SAFETY: the caller keeps `win[at..at + 4]` in bounds, and
+    // `read_unaligned` has no alignment requirement.
+    u32::from_le(unsafe { win.as_ptr().add(at).cast::<u32>().read_unaligned() })
+}
 
 /// Reads one stamp delta at `payload[*pos..]`. One- to three-byte
 /// varints cover every delta below 2^21 cycles (about 21 ms at
@@ -511,5 +630,123 @@ mod tests {
         let (_, excess, state) = check(&payload, 2, 250, (0, false, 0));
         assert!(excess.is_empty());
         assert_eq!(state, (1_000_250, true, 2));
+    }
+
+    /// A value of each varint width, one to four bytes.
+    const WIDTHS: [u64; 4] = [100, 300, 100_000, 3_000_000];
+
+    /// A delta that takes five varint bytes.
+    const FIVE_BYTES: u64 = (1 << 28) + 5;
+
+    /// Record `i` of a stream that mixes every varint width, baseline
+    /// pace and gaps over it inside each block.
+    fn mixed(baseline: u64, i: usize) -> u64 {
+        let w = WIDTHS;
+        [baseline, w[0], baseline + 9, w[1], w[2], baseline, w[3]][i % 7]
+    }
+
+    /// `records` deltas whose varints take `bytes` bytes in all.
+    fn deltas_taking(records: usize, bytes: usize) -> Vec<u64> {
+        assert!(records <= bytes && bytes <= 4 * records);
+        let mut extra = bytes - records;
+        (0..records)
+            .map(|_| {
+                let w = extra.min(3);
+                extra -= w;
+                WIDTHS[w]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_flagging_record_anywhere_in_a_block_decodes_as_the_column_walk_does() {
+        // Three blocks of mixed widths; record `at` of the second is a
+        // zero delta (one byte, or overlong in two or four), a five-byte
+        // varint, or the delta that overflows the stamp. The first
+        // block's excesses are out before the error, and the state stops
+        // at the record.
+        for b in BASELINES {
+            let deltas: Vec<u64> = (0..192).map(|i| mixed(b, i)).collect();
+            for at in 64..128 {
+                let encode = |middle: &[u8]| {
+                    let mut payload = encode_deltas(&deltas[..at]);
+                    payload.extend_from_slice(middle);
+                    payload.extend(encode_deltas(&deltas[at + 1..]));
+                    payload
+                };
+                let zeros = [&[0x00][..], &[0x80, 0x00], &[0x80, 0x80, 0x80, 0x00]];
+                for zero in zeros {
+                    let (r, excess, state) = check(&encode(zero), 192, b, (1_000, true, 10));
+                    let index = 10 + at;
+                    assert_eq!(r, Err(format!("NonMonotonic {{ index: {index} }}")));
+                    assert_eq!(state.2, index as u64);
+                    assert!(!excess.is_empty());
+                }
+                let payload = encode(&encode_deltas(&[FIVE_BYTES]));
+                let (r, _, state) = check(&payload, 192, b, (1_000, true, 10));
+                assert_eq!(r, Ok(payload.len()));
+                assert_eq!(state.2, 202);
+                let payload = encode_deltas(&deltas);
+                let start = u64::MAX - deltas[..=at].iter().sum::<u64>() + 1;
+                let (r, _, state) = check(&payload, 192, b, (start, true, 10));
+                assert!(r.unwrap_err().contains("overflows 64 bits"));
+                assert_eq!(state.2, 10 + at as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_varint_widths_in_one_block_match_the_column_walk() {
+        // Every width from one to four bytes, and the values on either
+        // side of each width's edge, in every block.
+        let edges = [
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            2_097_151,
+            2_097_152,
+            (1 << 28) - 1,
+        ];
+        for b in BASELINES {
+            for shift in 0..edges.len() {
+                let deltas: Vec<u64> = (0..256)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            b
+                        } else {
+                            edges[(i + shift) % 8]
+                        }
+                    })
+                    .collect();
+                let payload = encode_deltas(&deltas);
+                let (r, excess, state) = check(&payload, 256, b, (0, true, 0));
+                assert_eq!(r, Ok(payload.len()));
+                assert_eq!(state, (deltas.iter().sum(), true, 256));
+                assert_eq!(excess.len(), deltas.iter().filter(|&&d| d > b).count());
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_ending_anywhere_after_a_block_start_match_the_column_walk() {
+        // Two full blocks, then a last one whose bytes run from 0 to 256:
+        // under 64 bytes it holds fewer than 64 records, from 64 bytes on
+        // it holds 64 that only at 256 bytes fit the once-checked path.
+        for b in BASELINES {
+            for after in 0..=BLOCK_BYTES {
+                let mut deltas = deltas_taking(2 * STAGED, 6 * STAGED);
+                deltas.extend(deltas_taking(after.min(STAGED), after));
+                let payload = encode_deltas(&deltas);
+                let count = deltas.len() as u32;
+                let (r, _, state) = check(&payload, count, b, (7, true, 0));
+                assert_eq!(r, Ok(payload.len()), "{after} bytes after the block start");
+                assert_eq!(state.2, u64::from(count));
+                // One record too many runs off the end on either path.
+                let (r, _, _) = check(&payload, count + 1, b, (7, true, 0));
+                assert!(r.unwrap_err().contains("varint runs past"));
+            }
+        }
     }
 }

@@ -95,8 +95,9 @@ fn update_tables(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// The carry-less-multiply kernel. All of the crate's `unsafe` code
-/// lives here.
+/// The carry-less-multiply kernel. It holds all of the crate's `unsafe`
+/// code but one unchecked load in the fused gap kernel
+/// (`codec::load_word`).
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{

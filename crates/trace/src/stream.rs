@@ -18,10 +18,16 @@
 //! enum construction or queue traffic, CRC-checked once per chunk. The
 //! whole column drains through [`poll_batch`] into a caller-owned
 //! reusable `Vec<u64>`; [`poll`] still works, serving the same column
-//! one `Record::Stamp` at a time. Feeding is zero-copy in the steady
-//! state: when no partial header/chunk is carried over, chunks decode
-//! straight out of the caller's slice and only the unconsumed tail is
-//! copied into the carry buffer.
+//! one `Record::Stamp` at a time.
+//!
+//! Feeding, on either path, is zero-copy in the steady state. Chunks
+//! decode straight out of the caller's slice, and only an unfinished
+//! header or chunk at its end is copied into the carry buffer. The next
+//! fragment completes that carried unit from its head, copying only
+//! the bytes the unit lacks, and decodes it on its own; the rest of the
+//! fragment is again decoded in place. So a fragment copies at most one
+//! chunk, however many it holds: with 64 KiB upload frames and ~8 KB
+//! chunks, nearly every frame starts mid-chunk.
 //!
 //! # The fused gap path
 //!
@@ -219,32 +225,40 @@ impl StreamDecoder {
             });
         }
         self.bytes_fed += bytes.len() as u64;
-        let result = if self.buf.is_empty() {
-            // Zero-copy fast path: decode straight from the caller's
-            // slice; only the unconsumed tail (a partial header or
-            // chunk, usually small) is copied into the carry buffer.
+        let result = self.decode_fed(bytes, gaps);
+        self.core.poisoned = result.is_err();
+        result
+    }
+
+    /// Decodes `bytes` after whatever the carry buffer holds. A carried
+    /// partial header or chunk is completed from the head of `bytes` —
+    /// only the bytes it still lacks are copied — and decoded on its
+    /// own; everything after it decodes straight out of the caller's
+    /// slice, and only an unfinished unit at its end is copied into the
+    /// carry buffer.
+    fn decode_fed(
+        &mut self,
+        mut bytes: &[u8],
+        mut gaps: Option<&mut Vec<u64>>,
+    ) -> Result<(), TraceError> {
+        while !self.buf.is_empty() {
+            let lacking = self.core.unit_len(&self.buf).saturating_sub(self.buf.len());
+            let (head, rest) = bytes.split_at(lacking.min(bytes.len()));
+            self.buf.extend_from_slice(head);
+            bytes = rest;
             let mut consumed = 0usize;
-            let r = self.core.drain(bytes, &mut consumed, gaps);
-            if r.is_ok() && consumed < bytes.len() {
-                self.buf.extend_from_slice(&bytes[consumed..]);
-            }
-            r
-        } else {
-            self.buf.extend_from_slice(bytes);
-            let mut consumed = 0usize;
-            let r = self.core.drain(&self.buf, &mut consumed, gaps);
-            if consumed > 0 {
-                self.buf.drain(..consumed);
-            }
-            r
-        };
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.core.poisoned = true;
-                Err(e)
+            self.core
+                .drain(&self.buf, &mut consumed, gaps.as_deref_mut())?;
+            self.buf.drain(..consumed);
+            if consumed == 0 && head.is_empty() {
+                // Still unfinished, and `bytes` is used up.
+                return Ok(());
             }
         }
+        let mut consumed = 0usize;
+        self.core.drain(bytes, &mut consumed, gaps)?;
+        self.buf.extend_from_slice(&bytes[consumed..]);
+        Ok(())
     }
 
     /// Takes the next fully-decoded record, if one is ready.
@@ -377,6 +391,25 @@ impl DecoderCore {
         Ok(())
     }
 
+    /// The length `unit` — a partial header or chunk at the front of the
+    /// carry buffer — must reach before [`drain`](Self::drain) can decide
+    /// it: the header's fixed part, or the chunk's 12-byte frame header,
+    /// until their length fields are in; then the whole unit.
+    fn unit_len(&self, unit: &[u8]) -> usize {
+        if self.meta.is_none() {
+            if unit.len() < TraceMeta::FIXED_LEN {
+                return TraceMeta::FIXED_LEN;
+            }
+            TraceMeta::FIXED_LEN + u16::from_le_bytes([unit[6], unit[7]]) as usize + 4
+        } else {
+            if unit.len() < 12 {
+                return 12;
+            }
+            12usize
+                .saturating_add(u32::from_le_bytes([unit[4], unit[5], unit[6], unit[7]]) as usize)
+        }
+    }
+
     /// Attempts to decode the file header at `data[from..]`. Returns the
     /// bytes consumed, or `None` if more input is needed.
     fn try_decode_header(&mut self, data: &[u8], from: usize) -> Result<Option<usize>, TraceError> {
@@ -395,8 +428,7 @@ impl DecoderCore {
         if avail.len() < TraceMeta::FIXED_LEN {
             return Ok(None);
         }
-        let plen = u16::from_le_bytes([avail[6], avail[7]]) as usize;
-        let total = TraceMeta::FIXED_LEN + plen + 4;
+        let total = self.unit_len(avail);
         if avail.len() < total {
             return Ok(None);
         }

@@ -744,6 +744,160 @@ fn feed_gaps_decodes_and_discards_other_streams() {
     assert!(d.is_clean_boundary());
 }
 
+/// A value of each varint width, one to four bytes.
+const WIDTHS: [u64; 4] = [100, 300, 100_000, 3_000_000];
+
+/// Record `i` of a stream that mixes every varint width, baseline pace
+/// and gaps over it inside each 64-record block of the fused kernel.
+fn mixed_delta(baseline: u64, i: usize) -> u64 {
+    let w = WIDTHS;
+    [baseline, w[0], baseline + 9, w[1], w[2], baseline, w[3]][i % 7]
+}
+
+/// `records` deltas whose varints take `bytes` bytes in all.
+fn deltas_taking(records: usize, bytes: usize) -> Vec<u64> {
+    assert!(records <= bytes && bytes <= 4 * records);
+    let mut extra = bytes - records;
+    (0..records)
+        .map(|_| {
+            let w = extra.min(3);
+            extra -= w;
+            WIDTHS[w]
+        })
+        .collect()
+}
+
+#[test]
+fn feed_gaps_matches_the_column_walk_on_flagged_blocks() {
+    // A one-record chunk carries the first stamp, so the fused kernel's
+    // blocks in the 192-record chunk after it start at records 0, 64 and
+    // 128. Record `at` of the second block is a zero delta, a five-byte
+    // varint, or the delta that overflows the stamp.
+    for b in GAP_BASELINES {
+        let deltas: Vec<u64> = (0..192).map(|i| mixed_delta(b, i)).collect();
+        for at in 0..64 {
+            let j = 64 + at;
+            let stream = |first: u64, deltas: &[u64]| {
+                let mut all = vec![first];
+                all.extend_from_slice(deltas);
+                frame_gap_stream(b, &all, &[1, 192], None)
+            };
+            let mut zero = deltas.clone();
+            zero[j] = 0;
+            let mut five = deltas.clone();
+            five[j] = (1 << 28) + 5;
+            let overflow_start = u64::MAX - deltas[..=j].iter().sum::<u64>() + 1;
+            for frags in [&[usize::MAX][..], &[97, 13]] {
+                let out = check_gaps(&stream(1_000, &zero), frags);
+                let error = out.error.expect("a zero delta fails").1;
+                assert_eq!(error, format!("NonMonotonic {{ index: {} }}", 1 + j));
+                assert_eq!(out.records, 1 + j as u64);
+                let out = check_gaps(&stream(1_000, &five), frags);
+                assert!(out.error.is_none() && out.clean_boundary);
+                assert_eq!(out.records, 193);
+                let out = check_gaps(&stream(overflow_start, &deltas), frags);
+                assert!(out.error.unwrap().1.contains("overflows 64 bits"));
+                assert_eq!(out.records, 1 + j as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn feed_gaps_matches_the_column_walk_on_mixed_widths_and_tails() {
+    for b in GAP_BASELINES {
+        // Every varint width inside each block, over chunks of 128 and
+        // more records.
+        let deltas: Vec<u64> = (0..1_000).map(|i| mixed_delta(b, i)).collect();
+        for sizes in [&[128][..], &[300, 129], &[1, 500]] {
+            let out = check_gaps(&frame_gap_stream(b, &deltas, sizes, None), &[usize::MAX]);
+            assert!(out.error.is_none() && out.clean_boundary);
+            assert_eq!(out.records, 1_000);
+        }
+        // A chunk of two full blocks and a last one that starts 0 to 256
+        // bytes before the payload's end: below 256 bytes the last block
+        // takes the per-record tail path.
+        for after in 0..=256 {
+            let mut deltas = vec![1_000];
+            deltas.extend(deltas_taking(128, 384));
+            deltas.extend(deltas_taking(after.min(64), after));
+            let bytes = frame_gap_stream(b, &deltas, &[1, 192], None);
+            for frags in [&[usize::MAX][..], &[61, 7]] {
+                let out = check_gaps(&bytes, frags);
+                assert!(out.error.is_none() && out.clean_boundary, "{after} bytes");
+                assert_eq!(out.records, deltas.len() as u64);
+            }
+        }
+    }
+}
+
+/// Feeds `bytes` to one decoder in pieces ending at each of `cuts` and
+/// at the end. After every feed, the decoder must match a fresh one fed
+/// everything so far in one call: same result, excess, record count,
+/// pending bytes and exported state.
+fn check_carry(bytes: &[u8], cuts: &[usize]) {
+    let mut split = StreamDecoder::new();
+    let mut excess = Vec::new();
+    let mut from = 0;
+    for &to in cuts.iter().chain([&bytes.len()]) {
+        let fed = split.feed_gaps(&bytes[from..to], &mut excess);
+        let mut whole = StreamDecoder::new();
+        let mut whole_excess = Vec::new();
+        let whole_fed = whole.feed_gaps(&bytes[..to], &mut whole_excess);
+        let what = format!("cuts {cuts:?}, fed to {to}");
+        assert_eq!(format!("{fed:?}"), format!("{whole_fed:?}"), "{what}");
+        assert_eq!(excess, whole_excess, "{what}");
+        assert_eq!(split.records_decoded(), whole.records_decoded(), "{what}");
+        assert_eq!(split.export_state(), whole.export_state(), "{what}");
+        if fed.is_err() {
+            return;
+        }
+        assert_eq!(split.pending_bytes(), whole.pending_bytes(), "{what}");
+        from = to;
+    }
+}
+
+/// The offset of each chunk's 12-byte frame header in a stream of
+/// `header_len` header bytes and framed chunks.
+fn chunk_starts(bytes: &[u8], header_len: usize) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = header_len;
+    while at < bytes.len() {
+        starts.push(at);
+        at += 12 + u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+    }
+    starts
+}
+
+#[test]
+fn carried_chunks_decode_as_a_whole_buffer_feed() {
+    for b in GAP_BASELINES {
+        let deltas: Vec<u64> = (0..600).map(|i| mixed_delta(b, i)).collect();
+        let bytes = frame_gap_stream(b, &deltas, &[150, 130, 200], None);
+        let header_len = frame_gap_stream(b, &[], &[1], None).len();
+        let starts = chunk_starts(&bytes, header_len);
+        // The second chunk, and a copy whose last payload byte is flipped
+        // under its old CRC.
+        let (chunk, next) = (starts[1], starts[2]);
+        let mut bad_crc = bytes.clone();
+        bad_crc[next - 1] ^= 0x10;
+        for stream in [&bytes, &bad_crc] {
+            // Every cut from 0 to 12 carried frame-header bytes, then
+            // every cut inside the payload; alone, and followed by a
+            // second cut inside the next chunk.
+            for cut in chunk..next {
+                check_carry(stream, &[cut]);
+                check_carry(stream, &[cut, next + 100]);
+            }
+        }
+        // Every cut inside the file header.
+        for cut in 0..header_len {
+            check_carry(&bytes, &[cut]);
+            check_carry(&bytes, &[cut, chunk + 5]);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
