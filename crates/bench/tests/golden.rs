@@ -10,7 +10,12 @@
 //!   traces of the full experiment suite;
 //! * `faulted/…`: the same for `fig5 faults` under the CI fault-smoke plan;
 //! * `grid/…`: the bit patterns of the 35 NT 3.51 `word-keystroke` sweep
-//!   points (every sweepable parameter at ½, ¾, 1, 2 and 4 × stock).
+//!   points (every sweepable parameter at ½, ¾, 1, 2 and 4 × stock);
+//! * `counters/…`: the counter readings of two sessions cut into short
+//!   odd-length runs, read after every run. The cuts fall inside
+//!   multi-packet service calls, so these pin what a counter read sees at
+//!   a run boundary that splits a packet, which the end-of-run output
+//!   above never shows.
 //!
 //! Each item is digested with FNV-1a-64. A mismatch lists every differing
 //! name with both digests. A change that is *meant* to alter output
@@ -19,11 +24,14 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use latlab_apps::{PowerPoint, PowerPointConfig, Word, WordConfig, OPEN_KEY};
 use latlab_bench::engine::{run_scenarios, EngineConfig};
 use latlab_bench::scenarios;
 use latlab_bench::sweep::{run_sweep_grid, SweepMetric, SweepParam};
+use latlab_des::{CpuFreq, SimDuration, SimTime};
 use latlab_faults::FaultPlan;
-use latlab_os::OsProfile;
+use latlab_hw::{CounterId, HwEvent};
+use latlab_os::{InputKind, KeySym, Machine, OsProfile, ProcessSpec, ThreadId};
 
 /// The fault plan of CI's fault-smoke step.
 const FAULT_SMOKE: &str =
@@ -104,6 +112,80 @@ fn digest_grid() -> BTreeMap<String, u64> {
     out
 }
 
+/// Runs `m` to `end` in hops of `hop` cycles and digests, after every hop,
+/// both event counters, the omniscient event totals, the cycle counter and
+/// every thread's CPU cycles. Halfway through, counter 1 is reconfigured
+/// to `recount`, which resets it.
+fn digest_counter_hops(
+    m: &mut Machine,
+    threads: &[ThreadId],
+    hop: u64,
+    end: SimTime,
+    recount: HwEvent,
+) -> u64 {
+    let hops = end.since(m.now()).cycles() / hop;
+    let mut words = Vec::new();
+    for i in 1..=hops {
+        m.run_for(SimDuration::from_cycles(hop));
+        if i == hops / 2 {
+            m.configure_counter(CounterId::Ctr1, recount).unwrap();
+        }
+        words.push(m.read_counter(CounterId::Ctr0).unwrap());
+        words.push(m.read_counter(CounterId::Ctr1).unwrap());
+        words.extend(m.counter_ground_truth().iter().map(|(_, n)| n));
+        words.push(m.read_cycle_counter());
+        words.extend(threads.iter().map(|&tid| m.thread_cpu_cycles(tid)));
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
+
+/// Counter readings of an NT 3.51 Word typing session (three-packet
+/// user-server services) and a Windows 95 PowerPoint start, open and page
+/// flips (thunked services), each cut into odd-length runs.
+fn digest_counters() -> BTreeMap<String, u64> {
+    let freq = CpuFreq::PENTIUM_100;
+    let ms = |n: u64| SimTime::ZERO + freq.ms(n);
+    let mut out = BTreeMap::new();
+
+    let mut m = Machine::new(OsProfile::Nt351.params());
+    let word = m.spawn(
+        ProcessSpec::app("word").with_heavy_async(),
+        Box::new(Word::new(WordConfig::default())),
+    );
+    m.set_focus(word);
+    m.configure_counter(CounterId::Ctr0, HwEvent::DtlbMisses)
+        .unwrap();
+    m.configure_counter(CounterId::Ctr1, HwEvent::Instructions)
+        .unwrap();
+    for i in 0..24u64 {
+        let key = KeySym::Char(b"typing"[(i % 6) as usize] as char);
+        m.schedule_input_at(ms(100 + i * 110), InputKind::Key(key));
+    }
+    let hash = digest_counter_hops(&mut m, &[word], 37_337, ms(2_900), HwEvent::ItlbMisses);
+    out.insert("counters/nt351-word".to_owned(), hash);
+
+    let mut m = Machine::new(OsProfile::Win95.params());
+    latlab_apps::powerpoint::register_files(&mut m);
+    let ppt = m.spawn(
+        ProcessSpec::app("powerpoint"),
+        Box::new(PowerPoint::new(PowerPointConfig::default())),
+    );
+    m.set_focus(ppt);
+    m.configure_counter(CounterId::Ctr0, HwEvent::SegmentLoads)
+        .unwrap();
+    m.configure_counter(CounterId::Ctr1, HwEvent::DataRefs)
+        .unwrap();
+    m.schedule_input_at(ms(100), InputKind::Key(KeySym::Char('\n')));
+    m.schedule_input_at(ms(15_100), InputKind::Key(OPEN_KEY));
+    for i in 0..6u64 {
+        m.schedule_input_at(ms(27_100 + i * 700), InputKind::Key(KeySym::PageDown));
+    }
+    let hash = digest_counter_hops(&mut m, &[ppt], 300_007, ms(32_000), HwEvent::DtlbMisses);
+    out.insert("counters/win95-powerpoint".to_owned(), hash);
+    out
+}
+
 fn read_golden() -> BTreeMap<String, u64> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden.txt");
     let text = std::fs::read_to_string(&path).unwrap();
@@ -122,6 +204,7 @@ fn output_matches_the_golden_digests() {
     let plan = FaultPlan::parse(FAULT_SMOKE).expect("fault-smoke plan parses");
     fresh.extend(digest_suite(&["fig5", "faults"], Some(plan), "faulted"));
     fresh.extend(digest_grid());
+    fresh.extend(digest_counters());
     assert!(
         fresh.keys().any(|k| k.ends_with(".ltrc")),
         "no traces recorded"
