@@ -60,9 +60,10 @@ const EMIT_SPEC: ComputeSpec = ComputeSpec {
 };
 
 /// `total × done / cycles`, rounded down: the share of a packet's `total`
-/// events charged once `done` of its `cycles` have run. The product takes
-/// 128 bits only when it would overflow 64 (packets past ~4·10⁹ cycles
-/// with a large event total), so the common path stays one 64-bit divide.
+/// events a counter read sees once `done` of its `cycles` have run (see
+/// [`Exec::events_at_done`]). The product takes 128 bits only when it would
+/// overflow 64 (packets past ~4·10⁹ cycles with a large event total), so
+/// the common path stays one 64-bit divide.
 fn prorate(total: u64, done: u64, cycles: u64) -> u64 {
     match total.checked_mul(done) {
         Some(product) => product / cycles,
@@ -176,34 +177,76 @@ enum CallDisposition {
     Deschedule,
 }
 
-/// In-flight costed work: up to [`crate::win32::MAX_PACKETS`] packets
-/// run front to back, then the outcome. Held inline, so installing an exec
-/// never allocates.
+/// In-flight costed work: up to [`crate::win32::MAX_PACKETS`] packets run
+/// back to back as one span of `cycles`, then the outcome. It lives in its
+/// thread's slot and is written there in place, so installing one neither
+/// allocates nor moves a whole `Exec`.
+///
+/// Slices advance `done` and the cycle counter only. The events are charged
+/// once, when the span completes, less whatever [`Machine::settle`]
+/// already charged at run exits that fell inside it.
 #[derive(Clone, Debug)]
 struct Exec {
-    /// The packets, zero-cycle ones dropped; `packets[front..]` remain.
+    /// The thread has work installed that has not yet resolved.
+    active: bool,
+    /// The packets, zero-cycle ones dropped.
     packets: Packets,
-    front: usize,
-    /// Cycles of the front packet run so far.
+    /// The packets' summed cycles and events.
+    cycles: u64,
+    events: EventCounts,
+    /// Cycles run so far.
     done: u64,
-    /// Events of the front packet charged so far.
-    charged: EventCounts,
+    /// Events charged by run-exit settles, if any run exit fell inside.
+    settled: Option<EventCounts>,
     outcome: Outcome,
 }
 
 impl Exec {
-    fn new(packets: &[WorkPacket], outcome: Outcome) -> Self {
-        let mut kept = Packets::EMPTY;
+    const IDLE: Exec = Exec {
+        active: false,
+        packets: Packets::EMPTY,
+        cycles: 0,
+        events: EventCounts::ZERO,
+        done: 0,
+        settled: None,
+        outcome: Outcome::Reply(ApiReply::None),
+    };
+
+    /// Writes new work into this (resolved) slot.
+    fn install(&mut self, packets: &[WorkPacket], outcome: Outcome) {
+        debug_assert!(!self.active, "installing over an unresolved exec");
+        self.active = true;
+        self.packets.clear();
+        self.cycles = 0;
+        self.events = EventCounts::ZERO;
         for &p in packets.iter().filter(|p| p.cycles > 0) {
-            kept.push(p);
+            self.packets.push(p);
+            self.cycles += p.cycles;
+            self.events.accumulate(&p.events);
         }
-        Exec {
-            packets: kept,
-            front: 0,
-            done: 0,
-            charged: EventCounts::ZERO,
-            outcome,
+        self.done = 0;
+        self.settled = None;
+        self.outcome = outcome;
+    }
+
+    /// The events per-slice charging would have charged by now: every
+    /// finished packet in full, and the running packet's events prorated
+    /// over its cycles. Prorating telescopes, so this does not depend on
+    /// how the `done` cycles were sliced.
+    fn events_at_done(&self) -> EventCounts {
+        let mut left = self.done;
+        let mut out = EventCounts::ZERO;
+        for p in self.packets.iter() {
+            if left < p.cycles {
+                for (event, total) in p.events.iter() {
+                    out.add(event, prorate(total, left, p.cycles));
+                }
+                break;
+            }
+            out.accumulate(&p.events);
+            left -= p.cycles;
         }
+        out
     }
 }
 
@@ -223,7 +266,7 @@ struct ThreadSlot {
     traits: AppTraits,
     program: Box<dyn Program>,
     state: ThreadState,
-    exec: Option<Exec>,
+    exec: Exec,
     pending_reply: ApiReply,
     msgq: MessageQueue,
     gdi_pending: u32,
@@ -469,7 +512,7 @@ impl Machine {
             traits: spec.traits,
             program,
             state: ThreadState::Ready,
-            exec: None,
+            exec: Exec::IDLE,
             pending_reply: ApiReply::None,
             msgq: spec
                 .queue_capacity
@@ -668,6 +711,8 @@ impl Machine {
     ///
     /// Propagates counter errors.
     pub fn configure_counter(&mut self, id: CounterId, event: HwEvent) -> Result<(), CounterError> {
+        // Events charged later must not be counted from before the reset.
+        self.settle();
         self.counters.configure(id, event, Ring::System)
     }
 
@@ -966,8 +1011,29 @@ impl Machine {
             let mask = self.cost.take_param_reads();
             self.watermarks.note_mask(mask, turn_start);
         }
+        self.settle();
         crate::work::add(&self.work_counts().since(&before));
         until_quiescent && self.is_quiescent()
+    }
+
+    /// Brings the event counters up to date with every part-run exec, so
+    /// that they read between runs exactly what charging each slice's
+    /// prorated share would have left: each exec's
+    /// [`Exec::events_at_done`], less what earlier settles charged. Every
+    /// counter read happens between runs, so this runs at each run exit.
+    fn settle(&mut self) {
+        for t in &mut self.threads {
+            let exec = &mut t.exec;
+            if !exec.active || exec.done == 0 {
+                continue;
+            }
+            let due = exec.events_at_done();
+            match &exec.settled {
+                Some(charged) => self.counters.on_events(&due.since(charged)),
+                None => self.counters.on_events(&due),
+            }
+            exec.settled = Some(due);
+        }
     }
 
     /// One main-loop turn: fire a due event, service a quirk busy-wait, or
@@ -1267,41 +1333,30 @@ impl Machine {
         }
         let packet = self.cost.interrupt(instr);
         self.charge_system(packet);
-        // Wake sleepers due at this tick.
+        // Wake sleepers due at this tick, then fire application timers,
+        // each in one pass in thread order. Neither waking a thread nor
+        // posting to it changes whether another thread is due.
         let now = self.now;
-        let due: Vec<ThreadId> = self
-            .threads
-            .iter()
-            .filter_map(|t| match t.state {
-                ThreadState::Sleeping(wake) if wake <= now => Some(t.id),
-                _ => None,
-            })
-            .collect();
-        for tid in due {
-            let prio = self.thread(tid).priority;
-            let t = self.thread_mut(tid);
-            t.state = ThreadState::Ready;
-            t.pending_reply = ApiReply::None;
-            self.sched.enqueue(tid, prio);
-        }
-        // Fire application timers.
-        let timer_due: Vec<ThreadId> = self
-            .threads
-            .iter()
-            .filter_map(|t| match (t.timer, t.state) {
-                (Some(timer), state) if state != ThreadState::Exited && timer.next_due <= now => {
-                    Some(t.id)
-                }
-                _ => None,
-            })
-            .collect();
-        for tid in timer_due {
-            let tick = self.params.clock_tick;
-            if let Some(timer) = &mut self.thread_mut(tid).timer {
-                while timer.next_due <= now {
-                    timer.next_due += timer.period.max(tick);
-                }
+        for t in &mut self.threads {
+            if matches!(t.state, ThreadState::Sleeping(wake) if wake <= now) {
+                t.state = ThreadState::Ready;
+                t.pending_reply = ApiReply::None;
+                self.sched.enqueue(t.id, t.priority);
             }
+        }
+        let tick = self.params.clock_tick;
+        for i in 0..self.threads.len() {
+            let t = &mut self.threads[i];
+            let Some(timer) = &mut t.timer else {
+                continue;
+            };
+            if t.state == ThreadState::Exited || timer.next_due > now {
+                continue;
+            }
+            while timer.next_due <= now {
+                timer.next_due += timer.period.max(tick);
+            }
+            let tid = t.id;
             self.enqueue_message(tid, Message::Timer);
         }
         // Re-arm: the next tick takes its place in the queue's order now.
@@ -1395,7 +1450,7 @@ impl Machine {
         let t = self.thread_mut(tid);
         debug_assert_eq!(t.state, ThreadState::BlockedIo);
         t.state = ThreadState::Ready;
-        t.exec = Some(Exec::new(&[], Outcome::Reply(ApiReply::Io(bytes))));
+        t.exec.install(&[], Outcome::Reply(ApiReply::Io(bytes)));
         self.sched.enqueue(tid, prio);
     }
 
@@ -1474,8 +1529,7 @@ impl Machine {
             let wake = self
                 .cost
                 .kernel_work(self.params.syscall_instr, WorkKind::Api);
-            let t = self.thread_mut(tid);
-            t.exec = Some(Exec::new(&[wake], Outcome::GetMessage));
+            self.install_exec(tid, &[wake], Outcome::GetMessage);
             self.sched.enqueue(tid, prio);
         }
     }
@@ -1506,7 +1560,7 @@ impl Machine {
                 ThreadState::Ready => {}
                 _ => return, // Blocked or exited inside this dispatch.
             }
-            if self.thread(tid).exec.is_none() {
+            if !self.thread(tid).exec.active {
                 if self.try_fast_forward(tid, t_end) {
                     continue; // Batch committed; re-evaluate the horizon.
                 }
@@ -1514,7 +1568,7 @@ impl Machine {
                     return; // Yielded or exited.
                 }
             }
-            if self.thread(tid).exec.is_none() {
+            if !self.thread(tid).exec.active {
                 continue; // Inline action consumed; step again.
             }
             let next_event = self.next_event_time();
@@ -1565,22 +1619,23 @@ impl Machine {
     /// [`CostEngine`] calls in the same order (the mix accumulators carry
     /// fractional-event remainders, so packet costs vary iteration to
     /// iteration and cannot be extrapolated), counters advance by exactly
-    /// the per-packet totals (prorated charging telescopes), stamps carry
-    /// the same read-packet-end instants, and the straddling iteration —
-    /// which the step path begins eagerly, costing its spin packet before
-    /// discovering an event is due — is left for the step path to cost
-    /// identically. A trial iteration that does not fit is rolled back via
-    /// [`CostEngine::snapshot`]. Quantum expiries inside the batch only
-    /// rotate a solo thread back to itself, so the final `quantum_left` is
-    /// computed in closed form. Returns true if at least one iteration was
-    /// committed.
+    /// the per-packet totals (the step path charges each exec's events
+    /// whole at completion, and every batched iteration completes), stamps
+    /// carry the same read-packet-end instants, and the straddling
+    /// iteration — which the step path begins eagerly, costing its spin
+    /// packet before discovering an event is due — is left for the step
+    /// path to cost identically. A trial iteration that does not fit is
+    /// rolled back via [`CostEngine::snapshot`]. Quantum expiries inside
+    /// the batch only rotate a solo thread back to itself, so the final
+    /// `quantum_left` is computed in closed form. Returns true if at least
+    /// one iteration was committed.
     fn try_fast_forward(&mut self, tid: ThreadId, t_end: SimTime) -> bool {
         if !self.fastforward {
             return false;
         }
         {
             let t = self.thread(tid);
-            if t.priority != Priority::MEASUREMENT || t.exec.is_some() {
+            if t.priority != Priority::MEASUREMENT || t.exec.active {
                 return false;
             }
         }
@@ -1730,8 +1785,8 @@ impl Machine {
         }
         self.ff_stats.batches += 1;
         // Apply the batch wholesale. `CounterBank::on_work` composes
-        // (cycles wrap-add; event counters are modular), and prorated
-        // charging telescopes to the per-packet totals, so one bulk charge
+        // (cycles wrap-add; event counters are modular), and the step path
+        // charges each completed exec's events whole, so one bulk charge
         // is bit-identical to the step path's piecewise charges. Ground
         // truth sees nothing: measurement priority is never "busy".
         self.counters.on_work(batch_cycles, &batch_events);
@@ -1782,52 +1837,29 @@ impl Machine {
         self.sched.enqueue(tid, prio);
     }
 
-    /// Charges up to `budget` cycles of the thread's current exec.
-    /// Returns `(consumed, finished)`.
+    /// Runs up to `budget` cycles of the thread's current exec, charging
+    /// its events when it completes. Returns `(consumed, finished)`.
     fn charge_thread(&mut self, tid: ThreadId, budget: u64) -> (u64, bool) {
         let start = self.now;
         let t = &mut self.threads[tid.0 as usize];
-        let is_busy = t.priority > Priority::MEASUREMENT;
-        let exec = t.exec.as_mut().expect("charge_thread without exec");
-        let mut consumed = 0u64;
-        let finished = loop {
-            let Some(&packet) = exec.packets.get(exec.front) else {
-                break true;
-            };
-            if consumed >= budget {
-                break false;
+        let exec = &mut t.exec;
+        debug_assert!(exec.active, "charge_thread without exec");
+        let take = (exec.cycles - exec.done).min(budget);
+        exec.done += take;
+        let finished = exec.done == exec.cycles;
+        if finished {
+            match &exec.settled {
+                Some(charged) => self.counters.on_events(&exec.events.since(charged)),
+                None => self.counters.on_events(&exec.events),
             }
-            let take = (packet.cycles - exec.done).min(budget - consumed);
-            let done_after = exec.done + take;
-            let mut delta = EventCounts::ZERO;
-            if done_after == packet.cycles {
-                // Final slice: whatever the earlier slices left uncharged.
-                for (event, total) in packet.events.iter() {
-                    delta.set(event, total - exec.charged.get(event));
-                }
-                exec.front += 1;
-                exec.done = 0;
-                exec.charged = EventCounts::ZERO;
-            } else {
-                // Prorate hardware events over the packet's cycles.
-                for (event, total) in packet.events.iter() {
-                    if total > 0 {
-                        let target = prorate(total, done_after, packet.cycles);
-                        delta.set(event, target - exec.charged.get(event));
-                    }
-                }
-                exec.done = done_after;
-                exec.charged.accumulate(&delta);
-            }
-            t.cpu_cycles += take;
-            self.counters.on_work(take, &delta);
-            consumed += take;
-        };
-        self.now += SimDuration::from_cycles(consumed);
-        if is_busy {
+        }
+        t.cpu_cycles += take;
+        self.counters.on_cycles(take);
+        self.now += SimDuration::from_cycles(take);
+        if t.priority > Priority::MEASUREMENT {
             self.gt.on_busy(start, self.now);
         }
-        (consumed, finished)
+        (take, finished)
     }
 
     /// Steps the thread's program until it produces costed work or changes
@@ -1850,8 +1882,7 @@ impl Machine {
                     }
                     self.thread_mut(tid).zero_exec_streak = 0;
                     let packet = self.cost.compute(&spec);
-                    self.thread_mut(tid).exec =
-                        Some(Exec::new(&[packet], Outcome::Reply(ApiReply::None)));
+                    self.install_exec(tid, &[packet], Outcome::Reply(ApiReply::None));
                     return true;
                 }
                 Action::Call(call) => match self.build_call(tid, call) {
@@ -1860,9 +1891,7 @@ impl Machine {
                     CallDisposition::Deschedule => return false,
                 },
                 Action::Exit => {
-                    let t = self.thread_mut(tid);
-                    t.state = ThreadState::Exited;
-                    t.exec = None;
+                    self.thread_mut(tid).state = ThreadState::Exited;
                     self.sched.remove(tid);
                     return false;
                 }
@@ -1899,14 +1928,14 @@ impl Machine {
         match call {
             ApiCall::GetMessage => {
                 let packets = self.cost.api_service(self.params.getmessage_instr, (6, 8));
-                self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::GetMessage));
+                self.install_exec(tid, &packets, Outcome::GetMessage);
                 CallDisposition::Work
             }
             ApiCall::PeekMessage => {
                 let packets = self
                     .cost
                     .api_service(self.params.getmessage_instr / 2, (4, 6));
-                self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::PeekMessage));
+                self.install_exec(tid, &packets, Outcome::PeekMessage);
                 CallDisposition::Work
             }
             ApiCall::Gdi { ops } => {
@@ -1917,19 +1946,16 @@ impl Machine {
                 if pending >= self.params.gdi_batch_size {
                     self.thread_mut(tid).gdi_pending = 0;
                     let packets = self.cost.gdi_flush(pending);
-                    self.thread_mut(tid).exec =
-                        Some(Exec::new(&packets, Outcome::Reply(ApiReply::None)));
+                    self.install_exec(tid, &packets, Outcome::Reply(ApiReply::None));
                 } else {
                     let packet = self.cost.gdi_buffer(ops);
-                    self.thread_mut(tid).exec =
-                        Some(Exec::new(&[packet], Outcome::Reply(ApiReply::None)));
+                    self.install_exec(tid, &[packet], Outcome::Reply(ApiReply::None));
                 }
                 CallDisposition::Work
             }
             ApiCall::UserCall { instr } => {
                 let packets = self.cost.api_service(instr, (8, 10));
-                self.thread_mut(tid).exec =
-                    Some(Exec::new(&packets, Outcome::Reply(ApiReply::None)));
+                self.install_exec(tid, &packets, Outcome::Reply(ApiReply::None));
                 CallDisposition::Work
             }
             ApiCall::OpenFile { name } => {
@@ -1940,32 +1966,33 @@ impl Machine {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr * 2, WorkKind::Api);
-                self.thread_mut(tid).exec =
-                    Some(Exec::new(&[packet], Outcome::Reply(ApiReply::File(file))));
+                self.install_exec(tid, &[packet], Outcome::Reply(ApiReply::File(file)));
                 CallDisposition::Work
             }
             ApiCall::ReadFile { file, offset, len } => {
                 let (cpu, disk_time) = self.cost_read(file, offset, len);
-                self.thread_mut(tid).exec = Some(Exec::new(
+                self.install_exec(
+                    tid,
                     &[cpu],
                     Outcome::Io {
                         disk_time,
                         bytes: len,
                         kind: IoKind::SyncRead,
                     },
-                ));
+                );
                 CallDisposition::Work
             }
             ApiCall::WriteFile { file, offset, len } => {
                 let (cpu, disk_time) = self.cost_write(file, offset, len);
-                self.thread_mut(tid).exec = Some(Exec::new(
+                self.install_exec(
+                    tid,
                     &[cpu],
                     Outcome::Io {
                         disk_time,
                         bytes: len,
                         kind: IoKind::SyncWrite,
                     },
-                ));
+                );
                 CallDisposition::Work
             }
             ApiCall::ReadFileAsync {
@@ -1975,14 +2002,15 @@ impl Machine {
                 token,
             } => {
                 let (cpu, disk_time) = self.cost_read(file, offset, len);
-                self.thread_mut(tid).exec = Some(Exec::new(
+                self.install_exec(
+                    tid,
                     &[cpu],
                     Outcome::AsyncIo {
                         disk_time,
                         token,
                         kind: IoKind::AsyncRead,
                     },
-                ));
+                );
                 CallDisposition::Work
             }
             ApiCall::WriteFileAsync {
@@ -1992,53 +2020,53 @@ impl Machine {
                 token,
             } => {
                 let (cpu, disk_time) = self.cost_write(file, offset, len);
-                self.thread_mut(tid).exec = Some(Exec::new(
+                self.install_exec(
+                    tid,
                     &[cpu],
                     Outcome::AsyncIo {
                         disk_time,
                         token,
                         kind: IoKind::AsyncWrite,
                     },
-                ));
+                );
                 CallDisposition::Work
             }
             ApiCall::Sleep { duration } => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::Sleep(duration)));
+                self.install_exec(tid, &[packet], Outcome::Sleep(duration));
                 CallDisposition::Work
             }
             ApiCall::PostMessage { target, msg } => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec =
-                    Some(Exec::new(&[packet], Outcome::Post { target, msg }));
+                self.install_exec(tid, &[packet], Outcome::Post { target, msg });
                 CallDisposition::Work
             }
             ApiCall::SetTimer { period } => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::SetTimer(period)));
+                self.install_exec(tid, &[packet], Outcome::SetTimer(period));
                 CallDisposition::Work
             }
             ApiCall::KillTimer => {
                 let packet = self
                     .cost
                     .kernel_work(self.params.syscall_instr, WorkKind::Api);
-                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::KillTimer));
+                self.install_exec(tid, &[packet], Outcome::KillTimer);
                 CallDisposition::Work
             }
             ApiCall::ReadCycleCounter => {
                 let packet = self.cost.compute(&READ_CYCLES_SPEC);
-                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::ReadCycles));
+                self.install_exec(tid, &[packet], Outcome::ReadCycles);
                 CallDisposition::Work
             }
             ApiCall::Emit(v) => {
                 let packet = self.cost.compute(&EMIT_SPEC);
-                self.thread_mut(tid).exec = Some(Exec::new(&[packet], Outcome::Emit(v)));
+                self.install_exec(tid, &[packet], Outcome::Emit(v));
                 CallDisposition::Work
             }
             ApiCall::GtMark(mark) => {
@@ -2071,12 +2099,10 @@ impl Machine {
 
     /// Resolves the outcome of a drained exec.
     fn resolve_outcome(&mut self, tid: ThreadId) {
-        let outcome = self
-            .thread_mut(tid)
-            .exec
-            .take()
-            .expect("resolve_outcome without exec")
-            .outcome;
+        let exec = &mut self.thread_mut(tid).exec;
+        debug_assert!(exec.active, "resolve_outcome without exec");
+        exec.active = false;
+        let outcome = std::mem::replace(&mut exec.outcome, Outcome::Reply(ApiReply::None));
         match outcome {
             Outcome::Reply(reply) => {
                 self.thread_mut(tid).pending_reply = reply;
@@ -2169,7 +2195,7 @@ impl Machine {
         if self.thread(tid).gdi_pending > 0 {
             let ops = std::mem::take(&mut self.thread_mut(tid).gdi_pending);
             let packets = self.cost.gdi_flush(ops);
-            self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::GetMessage));
+            self.install_exec(tid, &packets, Outcome::GetMessage);
             return;
         }
         // Still empty: the previous events are truly complete (their output
@@ -2183,7 +2209,6 @@ impl Machine {
             queue_len_after: 0,
         });
         self.thread_mut(tid).state = ThreadState::BlockedMsg;
-        self.thread_mut(tid).exec = None;
         // Windows 95 post-event lag for heavyweight-async applications
         // (§5.4): the system stays busy after the application goes idle.
         let lag_due = self.thread(tid).traits.heavy_async
@@ -2203,7 +2228,7 @@ impl Machine {
         if self.thread(tid).gdi_pending > 0 {
             let ops = std::mem::take(&mut self.thread_mut(tid).gdi_pending);
             let packets = self.cost.gdi_flush(ops);
-            self.thread_mut(tid).exec = Some(Exec::new(&packets, Outcome::PeekMessage));
+            self.install_exec(tid, &packets, Outcome::PeekMessage);
             return;
         }
         self.complete_open_events(tid);
@@ -2319,6 +2344,10 @@ impl Machine {
 
     // --- Plumbing -----------------------------------------------------------
 
+    fn install_exec(&mut self, tid: ThreadId, packets: &[WorkPacket], outcome: Outcome) {
+        self.thread_mut(tid).exec.install(packets, outcome);
+    }
+
     fn thread(&self, tid: ThreadId) -> &ThreadSlot {
         &self.threads[tid.0 as usize]
     }
@@ -2376,14 +2405,19 @@ impl MachineSnapshot {
     }
 
     /// Approximate resident size of the frozen state in bytes (the
-    /// dominant heap blocks; per-thread message queues and emission
-    /// buffers are counted by slot, not content).
+    /// dominant heap blocks: event queue, thread slots, API and state logs,
+    /// ground truth; per-thread message queues and emission buffers are
+    /// counted by slot, not content).
     pub fn state_footprint(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
         let m = &*self.machine;
-        std::mem::size_of::<Machine>()
-            + m.pending.len() * std::mem::size_of::<(u128, MachineEvent)>()
-            + m.threads.len() * std::mem::size_of::<ThreadSlot>()
-            + m.apilog.len() * std::mem::size_of::<ApiLogEntry>()
-            + m.statelog.len() * std::mem::size_of::<crate::statelog::StateRecord>()
+        size_of::<Machine>()
+            + m.pending.len() * size_of::<(u128, MachineEvent)>()
+            + size_of_val(m.threads.as_slice())
+            + size_of_val(m.apilog.entries())
+            + size_of_val(m.statelog.records())
+            + size_of_val(m.gt.events())
+            + size_of_val(m.gt.labels())
+            + size_of_val(m.gt.busy_intervals())
     }
 }

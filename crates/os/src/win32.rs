@@ -94,6 +94,11 @@ impl Packets {
         self.items[self.len as usize] = packet;
         self.len += 1;
     }
+
+    /// Empties the list in place, leaving the stale items unwritten.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
 }
 
 impl std::ops::Deref for Packets {

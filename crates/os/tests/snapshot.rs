@@ -5,9 +5,14 @@
 
 use std::sync::{Arc, Mutex};
 
-use latlab_des::SimTime;
+use std::mem::{size_of, size_of_val};
+
+use latlab_des::{SimDuration, SimTime};
 use latlab_faults::{FaultKind, FaultPlan};
-use latlab_os::program::{Action, ApiCall, ApiReply, ComputeSpec, ProcessSpec, Program, StepCtx};
+use latlab_hw::{CounterId, HwEvent};
+use latlab_os::program::{
+    Action, ApiCall, ApiReply, ComputeSpec, ProcessSpec, Program, StepCtx, ThreadId,
+};
 use latlab_os::{FileId, InputKind, KeySym, Machine, Message, OsParams, OsProfile, SweptParam};
 use latlab_trace::{Record, TraceSink};
 use proptest::prelude::*;
@@ -143,7 +148,20 @@ fn restored_continuation_matches_straight_run() {
     assert_eq!(snap.now(), SimTime::ZERO + freq.ms(150));
     assert!(snap.pending_events() > 0);
     assert_eq!(snap.process_count(), 1);
-    assert!(snap.state_footprint() > std::mem::size_of::<Machine>());
+    // The footprint counts the logs and the ground-truth vectors.
+    let gt = m.ground_truth();
+    let logged = size_of::<Machine>()
+        + size_of_val(m.apilog().entries())
+        + size_of_val(m.state_log().records())
+        + size_of_val(gt.events())
+        + size_of_val(gt.labels())
+        + size_of_val(gt.busy_intervals());
+    assert!(!gt.events().is_empty() && !gt.busy_intervals().is_empty());
+    assert!(
+        snap.state_footprint() >= logged,
+        "footprint {} < {logged}",
+        snap.state_footprint()
+    );
 
     // The restored machine finishes identically...
     let mut restored = Machine::restore(&snap);
@@ -153,6 +171,34 @@ fn restored_continuation_matches_straight_run() {
     // ...and so does the original the snapshot was taken from.
     m.run_until(end);
     assert_eq!(observe(&m), want);
+}
+
+#[test]
+fn footprint_grows_by_the_logs_and_ground_truth() {
+    // Past the last input the pending events and thread slots stay put,
+    // so the footprint grows by exactly what the logs and the ground
+    // truth (events, labels, busy intervals) grew.
+    let logged = |m: &Machine| {
+        let gt = m.ground_truth();
+        size_of_val(m.apilog().entries())
+            + size_of_val(m.state_log().records())
+            + size_of_val(gt.events())
+            + size_of_val(gt.labels())
+            + size_of_val(gt.busy_intervals())
+    };
+    let freq = OsProfile::Nt40.params().freq;
+    let mut m = build(OsProfile::Nt40.params(), None, &[60, 130]);
+    m.run_until(SimTime::ZERO + freq.ms(300));
+    let (early, early_logged) = (m.snapshot(), logged(&m));
+    let busy_before = m.ground_truth().busy_intervals().len();
+    m.run_until(SimTime::ZERO + freq.ms(900));
+    let (late, late_logged) = (m.snapshot(), logged(&m));
+    assert!(m.ground_truth().busy_intervals().len() > busy_before);
+    assert_eq!(early.pending_events(), late.pending_events());
+    assert_eq!(
+        late.state_footprint() - early.state_footprint(),
+        late_logged - early_logged
+    );
 }
 
 #[test]
@@ -168,6 +214,83 @@ fn snapshot_restores_repeatedly() {
     a.run_until(end);
     b.run_until(end);
     assert_eq!(observe(&a), observe(&b));
+}
+
+/// Back-to-back USER calls of `instr` GUI instructions: on NT 3.51 each is
+/// three packets (send, service, return), and the service packet is long,
+/// so a run that stops at an arbitrary instant stops inside one.
+#[derive(Clone)]
+struct Caller {
+    instr: u64,
+}
+
+impl Program for Caller {
+    fn step(&mut self, _ctx: &mut StepCtx) -> Action {
+        Action::Call(ApiCall::UserCall { instr: self.instr })
+    }
+}
+
+#[test]
+fn snapshot_inside_a_multi_packet_exec_resumes_identically() {
+    let params = OsProfile::Nt351.params();
+    let freq = params.freq;
+    let cut = SimTime::ZERO + freq.ms(150) + SimDuration::from_cycles(12_345);
+    let end = SimTime::ZERO + freq.ms(600);
+    let boot = || {
+        let mut m = build(params.clone(), None, &[60, 130, 200, 260]);
+        let caller = m.spawn(
+            ProcessSpec::app("caller"),
+            Box::new(Caller { instr: 900_000 }),
+        );
+        m.configure_counter(CounterId::Ctr0, HwEvent::Instructions)
+            .unwrap();
+        m.configure_counter(CounterId::Ctr1, HwEvent::DtlbMisses)
+            .unwrap();
+        (m, [ThreadId(0), caller])
+    };
+    #[allow(clippy::type_complexity)]
+    let readings = |m: &Machine, threads: &[ThreadId]| {
+        (
+            m.read_counter(CounterId::Ctr0).unwrap(),
+            m.read_counter(CounterId::Ctr1).unwrap(),
+            *m.counter_ground_truth(),
+            m.read_cycle_counter(),
+            threads
+                .iter()
+                .map(|&t| m.thread_cpu_cycles(t))
+                .collect::<Vec<_>>(),
+            format!("{:?}", m.apilog().entries()),
+            format!(
+                "{:?} {:?}",
+                m.ground_truth().events(),
+                m.ground_truth().busy_intervals()
+            ),
+        )
+    };
+
+    let (mut straight, threads) = boot();
+    straight.run_until(end);
+    let want = readings(&straight, &threads);
+
+    let (mut m, _) = boot();
+    m.run_until(cut);
+    // The caller's service packet spans the cut: one more cycle moves the
+    // instruction count by a prorated share, not by a whole packet.
+    let at_cut = *m.counter_ground_truth();
+    let snap = m.snapshot();
+    let mut restored = Machine::restore(&snap);
+    let mut probe = Machine::restore(&snap);
+    probe.run_for(SimDuration::from_cycles(1));
+    assert_eq!(
+        probe.counter_ground_truth().get(HwEvent::Instructions) - at_cut.get(HwEvent::Instructions),
+        1,
+        "the cut falls inside a running packet"
+    );
+
+    restored.run_until(end);
+    assert_eq!(readings(&restored, &threads), want, "restored");
+    m.run_until(end);
+    assert_eq!(readings(&m, &threads), want, "original");
 }
 
 /// A stamp/API tee recording into a shared vector, so the test keeps a
