@@ -18,10 +18,10 @@
 //!    one per core), for the pooled speedup;
 //! 3. **ingest**: `--ingest-connections` uploaders slam an in-process
 //!    `latlab-serve` on loopback for `--ingest-secs` while a prober times
-//!    queries; the decode → extract → fold pipeline in process, batch vs
-//!    scalar, and batch on a recorded Word trace; then the same slam with
-//!    the write-ahead log on, a crash,
-//!    and a timed log replay (`--ingest-secs 0` skips phases 3 and 4);
+//!    queries; the decode → extract → fold pipeline in process, fused vs
+//!    the `TraceReader` reference, and fused on a recorded Word trace;
+//!    then the same slam with the write-ahead log on, a crash, and a
+//!    timed log replay (`--ingest-secs 0` skips phases 3 and 4);
 //! 4. **query**: the incremental query plane against the reference full
 //!    merge, and query latency under ingest at 1, 32 and 512 scenarios;
 //! 5. **sweep**: a full parameter grid (every sweepable parameter × 5
@@ -171,7 +171,8 @@ fn nonzero(name: &str, value: f64, unit: &str) -> Metric {
     Metric::info(name, value, unit, Higher).floor(0.0)
 }
 
-/// In-process batch-over-scalar ingest pipeline speedup.
+/// In-process ingest pipeline speedup: the fused fold over the
+/// `TraceReader` reference fold.
 fn batch_speedup(x: f64) -> Metric {
     Metric::info("ingest.batch_speedup", x, "x", Higher).floor(1.5)
 }
@@ -499,18 +500,19 @@ fn slam_config(server: &Server, scenario: &str, secs: u64, connections: usize) -
 
 /// In-process throughput (MB/s) of the server-side ingest pipeline —
 /// decode, sample extraction, sketch fold — over `corpus` in 64 KiB
-/// frames, fused or scalar. No sockets, single thread: this isolates
-/// exactly the code the two paths disagree on, which loopback MB/s
-/// (client + kernel + server on shared cores) cannot.
-fn fold_rate(corpus: &[u8], scalar: bool) -> f64 {
+/// frames, fused or through the `TraceReader` reference fold. No
+/// sockets, single thread: this isolates exactly the code the two paths
+/// disagree on, which loopback MB/s (client + kernel + server on shared
+/// cores) cannot.
+fn fold_rate(corpus: &[u8], reference: bool) -> f64 {
     let frame = 64 * 1024;
     // One warmup fold (page in the corpus, size the buffers), then
     // measure whole passes until enough wall clock has accumulated.
-    let _ = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, scalar);
+    let _ = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, reference);
     let (mut bytes, mut passes) = (0u64, 0u32);
     let t0 = Instant::now();
     while passes < 3 || t0.elapsed() < Duration::from_millis(300) {
-        let run = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, scalar);
+        let run = latlab_serve::fold_corpus(corpus, frame, EventClass::Keystroke, reference);
         bytes += run.bytes;
         passes += 1;
     }
@@ -518,9 +520,9 @@ fn fold_rate(corpus: &[u8], scalar: bool) -> f64 {
 }
 
 /// Phase 3: the ingest benchmark. A loopback slam with the WAL off (the
-/// headline throughput and query latency), the in-process batch-vs-scalar
-/// pipeline on the synthetic corpus and the fused one on a recorded
-/// trace, then the same slam with the WAL on and uploads on the
+/// headline throughput and query latency), the in-process fused and
+/// reference pipelines on the synthetic corpus and the fused one on a
+/// recorded trace, then the same slam with the WAL on and uploads on the
 /// resumable path, a crash (no drain, no checkpoint) and a timed restart
 /// that replays the log the crash left behind.
 fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std::io::Result<()> {
@@ -534,7 +536,7 @@ fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std
     let _ = server.join();
     let mb_per_sec = report.mb_per_sec();
     let synthetic = latlab_serve::idle_corpus(1 << 21, 0xbe9c, 64);
-    let (batch, scalar) = (fold_rate(&synthetic, false), fold_rate(&synthetic, true));
+    let (batch, reference) = (fold_rate(&synthetic, false), fold_rate(&synthetic, true));
     let recorded = fold_rate(&latlab_bench::record::word_session_stamps(), false);
     record(
         metrics,
@@ -555,8 +557,17 @@ fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std
             Metric::info("ingest.query_p50_ms", report.query_p50_ms, "ms", Lower),
             query_p99("ingest.query_p99_ms", report.query_p99_ms),
             Metric::info("ingest.pipeline_batch_mb_per_sec", batch, "MB/s", Higher),
-            Metric::info("ingest.pipeline_scalar_mb_per_sec", scalar, "MB/s", Higher),
-            batch_speedup(if scalar > 0.0 { batch / scalar } else { 0.0 }),
+            Metric::info(
+                "ingest.pipeline_reference_mb_per_sec",
+                reference,
+                "MB/s",
+                Higher,
+            ),
+            batch_speedup(if reference > 0.0 {
+                batch / reference
+            } else {
+                0.0
+            }),
             Metric::info("ingest.recorded_fused_mb_per_s", recorded, "MB/s", Higher),
         ],
     );

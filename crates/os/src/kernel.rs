@@ -774,7 +774,7 @@ impl Machine {
 
     /// Enables or disables idle fast-forward, overriding the thread-local
     /// default captured at boot. Fast-forward is observationally
-    /// transparent (see [`Machine::try_fast_forward`]); disabling it keeps
+    /// transparent (see `Machine::try_fast_forward`); disabling it keeps
     /// the step-by-step path alive as the equivalence oracle.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fastforward = enabled;

@@ -2,81 +2,32 @@
 //! fold — factored out of the connection handler so it can run over an
 //! in-memory corpus with no sockets attached.
 //!
-//! Two shapes of the same pipeline live here:
+//! The server runs the **fused path** (`fold_frame`):
+//! [`StreamDecoder::feed_gaps`] decodes each frame straight to the
+//! excess cycles of over-baseline stamp gaps without storing a stamp,
+//! and the excess folds through [`LatencySketch::update_batch`] a
+//! stack-sized batch at a time.
 //!
-//! * the **fused path** the server runs ([`fold_frame`]):
-//!   [`StreamDecoder::feed_gaps`] decodes each frame straight to the
-//!   excess cycles of over-baseline stamp gaps without storing a
-//!   stamp, and the excess folds through
-//!   [`LatencySketch::update_batch`] a stack-sized batch at a time;
-//! * the **scalar reference path**: a [`StreamDecoder::new_scalar`]
-//!   decoder materializes one `Record` per stamp, [`StreamDecoder::poll`]
-//!   hands them back one at a time, each stamp gap becomes at most one
-//!   sample, and every sample updates the [`LatencySketch`] individually
-//!   — exactly the shape the service shipped with, kept as the
-//!   in-process test oracle.
-//!
-//! [`fold_corpus`] runs either shape start-to-finish over a `.ltrc` byte
-//! stream; the perf harness times both over the same corpus to report
-//! the fused-over-scalar speedup, and the tests assert the two produce
-//! bit-identical sketches.
+//! [`fold_corpus`] runs that path start-to-finish over a `.ltrc` byte
+//! stream, or runs the **reference fold** the tests hold it to:
+//! [`TraceReader`] decodes the whole corpus one record at a time, each
+//! stamp gap becomes at most one sample, and every sample updates the
+//! sketch with its own [`LatencySketch::push`]. The tests assert the two
+//! produce bit-identical sketches; the perf harness times both over the
+//! same corpus for the fused-over-reference speedup.
 
 use latlab_analysis::{EventClass, LatencySketch};
 use latlab_des::SimDuration;
-use latlab_trace::{StreamDecoder, StreamKind, TraceError};
-
-/// Per-connection trace-record → latency-sample conversion, one record
-/// at a time: the scalar reference for [`fold_frame`].
-///
-/// * `IdleStamps`: consecutive stamp gaps are compared to the trace's
-///   calibrated baseline interval; any *excess* is event-handling time
-///   and becomes one sample (ms). Baseline-pace gaps contribute nothing
-///   — idle is not latency.
-/// * `ApiLog` / `Counters`: records are counted (they carry no single
-///   latency number at this layer); uploads of these kinds are accepted
-///   so a corpus can be shipped wholesale.
-pub(crate) struct SampleExtractor {
-    prev_stamp: Option<u64>,
-}
-
-impl SampleExtractor {
-    pub(crate) fn new() -> Self {
-        SampleExtractor { prev_stamp: None }
-    }
-
-    /// Drains decoded records into `out` as latency samples, one record
-    /// at a time.
-    pub(crate) fn pull(&mut self, decoder: &mut StreamDecoder, out: &mut Vec<f64>) {
-        let Some(meta) = decoder.meta().cloned() else {
-            return;
-        };
-        if meta.kind != StreamKind::IdleStamps {
-            while decoder.poll().is_some() {}
-            return;
-        }
-        let baseline = meta.baseline.cycles();
-        while let Some(rec) = decoder.poll() {
-            let at = rec.at_cycles();
-            if let Some(prev) = self.prev_stamp {
-                let gap = at.saturating_sub(prev);
-                if gap > baseline {
-                    let excess = SimDuration::from_cycles(gap - baseline);
-                    out.push(meta.freq.to_ms(excess));
-                }
-            }
-            self.prev_stamp = Some(at);
-        }
-    }
-}
+use latlab_trace::{StreamDecoder, StreamKind, TraceError, TraceReader};
 
 /// Decodes one frame through the fused gap kernel and folds its samples
 /// into the sketch `sketch` returns — asked for only when the frame
 /// yielded a sample. `excess` is caller-owned scratch, so a steady-state
 /// frame allocates nothing. Returns the samples folded.
 ///
-/// Uses the same float operations, in the same order, as
-/// [`SampleExtractor::pull`] + one [`LatencySketch::push`] per sample,
-/// so the sketch is bit-identical to the scalar reference.
+/// Uses the same float operations, in the same order, as the reference
+/// fold of [`fold_corpus`] (one [`LatencySketch::push`] per sample), so
+/// the sketch is bit-identical to it.
 ///
 /// # Errors
 ///
@@ -115,7 +66,7 @@ pub struct FoldOutcome {
     pub records: u64,
     /// Latency samples extracted and folded.
     pub samples: u64,
-    /// The folded sketch (identical between the two paths).
+    /// The folded sketch (bit-identical between the two folds).
     pub sketch: LatencySketch,
 }
 
@@ -123,12 +74,13 @@ pub struct FoldOutcome {
 /// extraction, sketch fold — over one in-memory `.ltrc` corpus, fed in
 /// `frame_len`-byte fragments as a socket would deliver it.
 ///
-/// `scalar` selects the per-record reference path (`poll` + one
-/// [`LatencySketch::push`] per sample); otherwise the server's fused
-/// path runs ([`fold_frame`] per fragment). Both fold orders are
-/// identical, so the returned sketches are bit-identical — the perf
-/// harness times the two over the same corpus for the
-/// fused-over-scalar figure.
+/// `reference` selects the reference fold instead: [`TraceReader`]
+/// over the whole corpus (`frame_len` is then unused), a walk over its
+/// stamp gaps, and one [`LatencySketch::push`] per sample. Otherwise the
+/// server's fused path runs (`fold_frame` per fragment). Both fold
+/// orders are identical, so the returned sketches are bit-identical —
+/// the perf harness times the two over the same corpus for the
+/// fused-over-reference figure.
 ///
 /// # Panics
 ///
@@ -138,32 +90,19 @@ pub fn fold_corpus(
     corpus: &[u8],
     frame_len: usize,
     class: EventClass,
-    scalar: bool,
+    reference: bool,
 ) -> FoldOutcome {
     assert!(frame_len > 0, "frame_len must be positive");
-    let mut decoder = if scalar {
-        StreamDecoder::new_scalar()
-    } else {
-        StreamDecoder::new()
-    };
-    let mut extractor = SampleExtractor::new();
+    if reference {
+        return reference_fold(corpus, class);
+    }
+    let mut decoder = StreamDecoder::new();
     let mut sketch = LatencySketch::new();
-    let mut pending: Vec<f64> = Vec::new();
     let mut excess: Vec<u64> = Vec::new();
     let mut samples = 0u64;
     for frame in corpus.chunks(frame_len) {
-        if scalar {
-            decoder.feed(frame).expect("valid corpus");
-            extractor.pull(&mut decoder, &mut pending);
-            for &ms in &pending {
-                sketch.push(class, ms);
-            }
-            samples += pending.len() as u64;
-            pending.clear();
-        } else {
-            samples += fold_frame(&mut decoder, &mut excess, frame, class, || &mut sketch)
-                .expect("valid corpus");
-        }
+        samples += fold_frame(&mut decoder, &mut excess, frame, class, || &mut sketch)
+            .expect("valid corpus");
     }
     assert!(
         decoder.is_clean_boundary(),
@@ -177,6 +116,37 @@ pub fn fold_corpus(
     }
 }
 
+/// The reference fold: every idle-stamp gap longer than the trace's
+/// calibrated baseline is event-handling time and becomes one sample
+/// (ms); baseline-pace gaps contribute nothing — idle is not latency.
+/// Records of other stream kinds are only counted.
+fn reference_fold(corpus: &[u8], class: EventClass) -> FoldOutcome {
+    let mut reader = TraceReader::open(corpus).expect("valid corpus");
+    let meta = reader.meta().clone();
+    let stamps = meta.kind == StreamKind::IdleStamps;
+    let baseline = meta.baseline.cycles();
+    let mut sketch = LatencySketch::new();
+    let mut samples = 0u64;
+    let mut prev: Option<u64> = None;
+    while let Some(rec) = reader.next().expect("valid corpus") {
+        let at = rec.at_cycles();
+        match prev.replace(at) {
+            Some(prev) if stamps && at - prev > baseline => {
+                let excess = SimDuration::from_cycles(at - prev - baseline);
+                sketch.push(class, meta.freq.to_ms(excess));
+                samples += 1;
+            }
+            _ => {}
+        }
+    }
+    FoldOutcome {
+        bytes: corpus.len() as u64,
+        records: reader.records_read(),
+        samples,
+        sketch,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +154,8 @@ mod tests {
 
     #[test]
     fn batch_and_scalar_folds_are_bit_identical() {
+        // The fused batch fold against the reference fold: the file
+        // reader's records and one scalar push per sample.
         for corpus in [
             synthetic_corpus(30_000, 0xf01d, 40),
             idle_corpus(30_000, 0xf01d, 40),

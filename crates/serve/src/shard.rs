@@ -8,7 +8,7 @@
 //! path.
 //!
 //! **Frame-level sharding:** connection handlers are thin pumps — they
-//! read wire frames and forward them raw ([`Msg::Frame`]); the shard
+//! read wire frames and forward them raw (`Msg::Frame`); the shard
 //! worker owns the whole decode → extract → fold pipeline per stream.
 //! That single-writer shape is what makes durability tractable: the
 //! worker appends each accepted frame to its [`ShardWal`] *before*
@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_trace::{BufferPool, DecoderState, StreamDecoder};
+use latlab_trace::{BufferPool, StreamDecoder};
 
 use crate::pipeline::fold_frame;
 use crate::wal::{
@@ -957,12 +957,7 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
             state.last_seq = s.last_seq;
             state.done_records = s.done_records;
             state.done_bytes = s.done_bytes;
-            // A checkpoint from a server that still had a scalar ingest
-            // mode may carry `scalar: true`; the state is otherwise the
-            // same, so it resumes on the one (batch) path.
-            state.decoder = s
-                .decoder
-                .map(|d| StreamDecoder::restore(DecoderState { scalar: false, ..d }));
+            state.decoder = s.decoder.map(StreamDecoder::restore);
             streams.insert(s.id, state);
         }
     }
@@ -1454,10 +1449,10 @@ mod tests {
 
     #[test]
     fn scalar_mode_checkpoints_resume_on_the_batch_path() {
-        // Checkpoints keep the decoder's scalar byte, and logs written by
-        // a server that still had a scalar ingest mode may carry it set.
-        // Recovery must resume such a stream on the batch path and fold
-        // every remaining sample.
+        // Checkpoints keep the byte that once flagged a decoder's scalar
+        // mode, and logs written by a server that still had that mode may
+        // carry it set. Recovery must ignore it, resume such a stream on
+        // the one decode path and fold every remaining sample.
         let tmp = TempDir::new("scalar-ckpt");
         let corpus = idle_corpus(20_000, 0x5ca1, 64);
         let frames = frames_of(&corpus, 4096);
@@ -1479,21 +1474,35 @@ mod tests {
         set.drain_and_join();
 
         let dir = tmp.wal().shard_dir(0);
-        let mut ckpt = crate::wal::load_checkpoint(&dir)
+        let ckpt = crate::wal::load_checkpoint(&dir)
             .unwrap()
             .expect("drain checkpoint");
-        let mut in_flight = 0;
-        for s in &mut ckpt.streams {
-            if let Some(d) = &mut s.decoder {
-                d.scalar = true;
-                in_flight += 1;
-            }
-        }
+        let in_flight: Vec<bool> = ckpt.streams.iter().map(|s| s.decoder.is_some()).collect();
         assert_eq!(
-            in_flight, 1,
+            in_flight,
+            [true],
             "the half-sent upload is checkpointed mid-stream"
         );
-        crate::wal::write_checkpoint(&dir, &ckpt).unwrap();
+        // Its decoder image ends the checkpoint body, and the flag byte
+        // ends the image: set it and reseal the trailing CRC.
+        let path = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
+            .max()
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let body = bytes.len() - 4;
+        assert_eq!(bytes[body - 1], 0);
+        bytes[body - 1] = 1;
+        let crc = latlab_trace::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let flagged = crate::wal::load_checkpoint(&dir).unwrap();
+        assert_eq!(
+            flagged.expect("flagged checkpoint loads").streams,
+            ckpt.streams
+        );
 
         let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
         let (rx, watermark) = begin(&set, 0, &stream, BeginMode::Continue(0));

@@ -51,8 +51,9 @@ pub struct SlamConfig {
     /// Pause between query-thread probes.
     pub query_interval: Duration,
     /// Base backoff after a `BUSY` reply. Doubles per consecutive
-    /// rejection of the same blob, up to [`busy_backoff_cap`]
-    /// (`Self::busy_backoff_cap`), with seeded jitter on top.
+    /// rejection of the same blob, up to
+    /// [`busy_backoff_cap`](Self::busy_backoff_cap), with seeded jitter
+    /// on top.
     pub busy_backoff: Duration,
     /// Ceiling for the doubling backoff.
     pub busy_backoff_cap: Duration,

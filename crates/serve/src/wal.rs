@@ -624,7 +624,9 @@ fn encode_decoder(d: &DecoderState, out: &mut Vec<u8>) {
     out.push(d.any_read as u8);
     out.extend_from_slice(&d.records_decoded.to_le_bytes());
     out.extend_from_slice(&d.chunks_decoded.to_le_bytes());
-    out.push(d.scalar as u8);
+    // The retired scalar-mode flag, always 0: kept so the checkpoint
+    // layout and `WAL_VERSION` stay unchanged.
+    out.push(0);
 }
 
 fn decode_decoder(buf: &[u8], at: &mut usize) -> Option<DecoderState> {
@@ -648,7 +650,9 @@ fn decode_decoder(buf: &[u8], at: &mut usize) -> Option<DecoderState> {
     let any_read = get_u8(buf, at)? != 0;
     let records_decoded = get_u64(buf, at)?;
     let chunks_decoded = get_u64(buf, at)?;
-    let scalar = get_u8(buf, at)? != 0;
+    // The retired scalar-mode flag: checkpoints from older servers may
+    // carry it set, and the decoder state is the same either way.
+    get_u8(buf, at)?;
     Some(DecoderState {
         meta,
         carry,
@@ -657,7 +661,6 @@ fn decode_decoder(buf: &[u8], at: &mut usize) -> Option<DecoderState> {
         any_read,
         records_decoded,
         chunks_decoded,
-        scalar,
     })
 }
 
@@ -736,7 +739,7 @@ impl Checkpoint {
 }
 
 /// Writes a checkpoint atomically (temp file + rename) and prunes all
-/// but the newest [`CHECKPOINTS_KEPT`] checkpoint files.
+/// but the newest `CHECKPOINTS_KEPT` checkpoint files.
 ///
 /// # Errors
 ///
@@ -1297,6 +1300,51 @@ mod tests {
         while dec.poll_batch(&mut col) > 0 {
             col.clear();
         }
+        assert!(dec.is_clean_boundary());
+        assert_eq!(dec.records_decoded(), 5_000);
+    }
+
+    #[test]
+    fn a_set_scalar_byte_decodes_to_the_same_decoder_state() {
+        use latlab_trace::StreamDecoder;
+        // Checkpoints keep the byte that once flagged a decoder's scalar
+        // mode. An image with it set decodes to the same state as one
+        // with it clear, and that state restores and finishes the trace.
+        let corpus = crate::slam::idle_corpus(5_000, 0x5ca1, 64);
+        let mut dec = StreamDecoder::new();
+        let mut excess = Vec::new();
+        dec.feed_gaps(&corpus[..corpus.len() / 2], &mut excess)
+            .unwrap();
+        let ckpt = Checkpoint {
+            last_lsn: 1,
+            sketches: Vec::new(),
+            streams: vec![StreamCkpt {
+                id: keyed("c"),
+                class: None,
+                last_seq: 1,
+                done_records: 0,
+                done_bytes: 0,
+                prev_stamp: None,
+                decoder: dec.export_state(),
+            }],
+        };
+        let clear = ckpt.encode();
+        // The decoder image ends the body, and the flag byte ends the
+        // image: set it and reseal the trailing CRC.
+        let mut flagged = clear.clone();
+        let body = flagged.len() - 4;
+        assert_eq!(flagged[body - 1], 0);
+        flagged[body - 1] = 1;
+        let crc = crc32(&flagged[..body]);
+        flagged[body..].copy_from_slice(&crc.to_le_bytes());
+        let clear = Checkpoint::decode(&clear).unwrap();
+        let flagged = Checkpoint::decode(&flagged).unwrap();
+        assert_eq!(clear.streams, ckpt.streams);
+        assert_eq!(flagged.streams, clear.streams);
+        let state = flagged.streams[0].decoder.clone().unwrap();
+        let mut dec = StreamDecoder::restore(state);
+        dec.feed_gaps(&corpus[corpus.len() / 2..], &mut excess)
+            .unwrap();
         assert!(dec.is_clean_boundary());
         assert_eq!(dec.records_decoded(), 5_000);
     }

@@ -9,8 +9,9 @@
 //! * `SNAPSHOT` reads taken *during* ingest are internally consistent:
 //!   counts and epochs never go backwards;
 //! * a full shard queue surfaces as `BUSY`, not as hidden buffering;
-//! * the served (columnar batch) fold is bit-identical to the scalar
-//!   reference pipeline run in-process over the same bytes.
+//! * the served (fused batch) fold is bit-identical to the reference
+//!   fold (`TraceReader` records, one scalar push per sample) run
+//!   in-process over the same bytes.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -310,11 +311,11 @@ fn full_queue_answers_busy() {
 
 #[test]
 fn batch_and_scalar_ingest_fold_identically() {
-    // The server's columnar batch ingest path must land in a sketch
-    // bit-identical to the per-record scalar reference pipeline run
-    // in-process over the same bytes: same counts, same misses, same
-    // quantiles, same moments. One shard and one upload keep the
-    // server's fold order deterministic.
+    // The server's fused batch ingest path must land in a sketch
+    // bit-identical to the reference fold (`TraceReader` records, one
+    // scalar push per sample) run in-process over the same bytes: same
+    // counts, same misses, same quantiles, same moments. One shard and
+    // one upload keep the server's fold order deterministic.
     let corpus = synthetic_corpus(45_000, 0xe100, 40);
     let server = Server::start(ServeConfig {
         bind: "127.0.0.1:0".to_owned(),

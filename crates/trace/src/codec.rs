@@ -11,7 +11,7 @@
 //! a column of absolute stamps (the columnar path, and the oracle the
 //! fused kernel is tested against), and [`decode_stamp_gaps`] turns
 //! them straight into the latency samples the server folds. All varint
-//! work goes through [`crate::varint`]; there is no second varint
+//! work goes through `crate::varint`; there is no second varint
 //! implementation anywhere in the crate.
 
 use crate::error::TraceError;
@@ -97,7 +97,8 @@ pub fn decode_record(
 /// The delta-decoding state (`prev_at`, `any_read`, `records`) is
 /// updated *through the references as each stamp decodes*, so on error
 /// every stamp decoded before the failure is already in `out` and the
-/// state reflects exactly what a scalar decoder would hold at the same
+/// state reflects exactly what [`decode_record`], record by record as
+/// [`TraceReader`](crate::TraceReader) runs it, would hold at the same
 /// point — the batch path fails at the identical record with the
 /// identical error.
 ///

@@ -19,12 +19,13 @@
 //! - a **push-based incremental decoder** ([`StreamDecoder`]) for
 //!   transports that deliver the same byte stream in arbitrary fragments
 //!   (sockets): partial headers and chunks are buffered until complete,
-//!   with the exact validation the file reader performs. Idle-stamp
-//!   streams decode a whole chunk per pass: straight to latency (the
-//!   excess of each over-baseline gap) through
-//!   [`StreamDecoder::feed_gaps`], or into a stamp column drained by
-//!   [`StreamDecoder::poll_batch`]; [`BufferPool`] recycles frame
-//!   buffers, so the ingest path does not allocate one per frame;
+//!   with the exact validation the file reader performs, which is the
+//!   reference its tests hold it to. Idle-stamp streams decode a whole
+//!   chunk per pass: straight to latency (the excess of each
+//!   over-baseline gap) through [`StreamDecoder::feed_gaps`], or into a
+//!   stamp column drained by [`StreamDecoder::poll_batch`]; records of
+//!   other streams are validated and discarded. [`BufferPool`] recycles
+//!   frame buffers, so the ingest path does not allocate one per frame;
 //! - the shared record [`codec`], the single implementation of the
 //!   chunk-payload layout that every decoder above calls into.
 //!

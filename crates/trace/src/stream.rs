@@ -5,20 +5,28 @@
 //! files, the wrong one for sockets, where bytes arrive in arbitrary
 //! fragments and a frame boundary rarely lines up with a chunk boundary.
 //! [`StreamDecoder`] inverts control: the transport [`feed`]s whatever
-//! bytes it has, the decoder buffers partial headers and chunks until
-//! they complete, and fully-decoded records are [`poll`]ed out. Decoded
-//! bytes are discarded eagerly, so memory stays bounded by one chunk
-//! (plus undecoded carry-over) regardless of stream length.
+//! bytes it has, and the decoder buffers partial headers and chunks
+//! until they complete, then decodes each completed chunk in one pass.
+//! Decoded bytes are discarded eagerly, so memory stays bounded by one
+//! chunk (plus undecoded carry-over) regardless of stream length.
 //!
-//! # The columnar batch path
+//! # The fused gap path
 //!
-//! Idle-stamp streams — the telemetry firehose — decode columnarly: a
-//! complete chunk's varint deltas are expanded into absolute stamps in
-//! one pass ([`crate::codec::decode_stamp_chunk`]) with no per-record
-//! enum construction or queue traffic, CRC-checked once per chunk. The
-//! whole column drains through [`poll_batch`] into a caller-owned
-//! reusable `Vec<u64>`; [`poll`] still works, serving the same column
-//! one `Record::Stamp` at a time.
+//! A consumer that wants latency rather than stamps — the server —
+//! calls [`feed_gaps`]: each completed idle-stamp chunk goes through
+//! [`crate::codec::decode_stamp_gaps`], which turns every stamp gap
+//! longer than the trace's baseline into `gap − baseline` cycles and
+//! stores no stamp at all.
+//!
+//! # The stamp column
+//!
+//! [`feed`] expands a completed idle-stamp chunk's varint deltas into
+//! absolute stamps in one pass ([`crate::codec::decode_stamp_chunk`]),
+//! CRC-checked once per chunk, and [`poll_batch`] drains the column into
+//! a caller-owned reusable `Vec<u64>`. The property tests hold
+//! [`feed_gaps`] to [`feed`] + [`poll_batch`] + a gap walk, record for
+//! record and error for error. On either path, records of the other
+//! stream kinds are decoded, validated, counted and discarded.
 //!
 //! Feeding, on either path, is zero-copy in the steady state. Chunks
 //! decode straight out of the caller's slice, and only an unfinished
@@ -29,48 +37,29 @@
 //! chunk, however many it holds: with 64 KiB upload frames and ~8 KB
 //! chunks, nearly every frame starts mid-chunk.
 //!
-//! # The fused gap path
-//!
-//! A consumer that wants latency rather than stamps — the server —
-//! calls [`feed_gaps`] instead: each completed idle-stamp chunk goes
-//! through [`crate::codec::decode_stamp_gaps`], which turns every stamp
-//! gap longer than the trace's baseline into `gap − baseline` cycles and
-//! stores no stamp at all. The column path above is its oracle: the
-//! property tests hold `feed_gaps` to `feed` + [`poll_batch`] + a gap
-//! walk, record for record and error for error. `feed_gaps` always takes the fused kernel,
-//! scalar decoder or not.
-//!
-//! [`StreamDecoder::new_scalar`] builds a decoder with the columnar
-//! path disabled: idle stamps decode one record at a time through the
-//! same per-record codec as every other stream kind, materializing a
-//! `Record::Stamp` in the ready queue per stamp. That is the decoder's
-//! original shape, kept as the test oracle and measured reference the
-//! batch path is compared against (the perf harness's in-process
-//! pipeline speedup, the serve equivalence tests).
-//!
 //! The decode rules are identical to [`TraceReader`](crate::TraceReader):
 //! same CRC checks, same monotonicity validation, same structural limits
-//! on corrupt input — a byte stream fed through this decoder in any
-//! fragmentation yields exactly the records the file reader yields, and
-//! the same error on corrupt data. Once an error surfaces the decoder is
-//! poisoned: further feeding returns the same error class.
+//! on corrupt input. A byte stream fed through this decoder in any
+//! fragmentation yields exactly the stamps the file reader yields, and
+//! on corrupt data the same error after the same stamps; a stream that
+//! ends inside a header or chunk leaves the decoder waiting for the
+//! rest where the reader reports [`TraceError::Truncated`]. The property
+//! tests hold the stamp column to the reader on intact, truncated and
+//! corrupted streams. Once an error surfaces the decoder is poisoned:
+//! further feeding returns the same error class.
 //!
 //! [`feed`]: StreamDecoder::feed
 //! [`feed_gaps`]: StreamDecoder::feed_gaps
-//! [`poll`]: StreamDecoder::poll
 //! [`poll_batch`]: StreamDecoder::poll_batch
-
-use std::collections::VecDeque;
 
 use crate::codec;
 use crate::crc32::crc32;
 use crate::error::TraceError;
 use crate::meta::{StreamKind, TraceMeta};
-use crate::record::Record;
 use crate::writer::{MAX_CHUNK_PAYLOAD, MAX_CHUNK_RECORDS};
 
 /// Incremental decoder state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StreamDecoder {
     /// Unconsumed input bytes (partial header or partial chunk). Kept
     /// outside [`DecoderCore`] so the core can decode out of either this
@@ -82,71 +71,24 @@ pub struct StreamDecoder {
 }
 
 /// Everything but the carry buffer: decode state plus decoded output.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DecoderCore {
     /// Parsed file header, once enough bytes have arrived.
     meta: Option<TraceMeta>,
-    /// Non-stamp records decoded out of completed chunks, not yet polled.
-    ready: VecDeque<Record>,
-    /// Columnar idle-stamp store: decoded absolute stamps awaiting a
-    /// poll. `stamps[stamp_head..]` is the live window.
+    /// The stamp column: decoded absolute stamps awaiting
+    /// [`poll_batch`](StreamDecoder::poll_batch).
     stamps: Vec<u64>,
-    stamp_head: usize,
     prev_at: u64,
     any_read: bool,
     records_decoded: u64,
     chunks_decoded: u64,
     poisoned: bool,
-    /// When set, idle stamps take the per-record reference path into
-    /// `ready` instead of the columnar store.
-    scalar: bool,
-}
-
-impl Default for StreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamDecoder {
     /// Creates a decoder expecting a trace header first.
     pub fn new() -> Self {
-        Self::with_mode(false)
-    }
-
-    /// Creates a decoder with the columnar batch path disabled: idle
-    /// stamps decode per record through [`crate::codec::decode_record`]
-    /// into the ready queue, one `Record` and one queue push per stamp.
-    ///
-    /// This is the reference decode shape. It yields byte-for-byte the
-    /// same records and errors as the default decoder — the property
-    /// tests assert so — and exists so the batch path has an honest
-    /// scalar baseline to be benchmarked against ([`poll_batch`] on a
-    /// scalar decoder always returns 0; use [`poll`]).
-    ///
-    /// [`poll`]: StreamDecoder::poll
-    /// [`poll_batch`]: StreamDecoder::poll_batch
-    pub fn new_scalar() -> Self {
-        Self::with_mode(true)
-    }
-
-    fn with_mode(scalar: bool) -> Self {
-        StreamDecoder {
-            buf: Vec::new(),
-            bytes_fed: 0,
-            core: DecoderCore {
-                meta: None,
-                ready: VecDeque::new(),
-                stamps: Vec::new(),
-                stamp_head: 0,
-                prev_at: 0,
-                any_read: false,
-                records_decoded: 0,
-                chunks_decoded: 0,
-                poisoned: false,
-                scalar,
-            },
-        }
+        Self::default()
     }
 
     /// The stream header, once decoded.
@@ -154,7 +96,7 @@ impl StreamDecoder {
         self.core.meta.as_ref()
     }
 
-    /// Records decoded so far (including ones not yet polled).
+    /// Records decoded so far (including stamps not yet drained).
     pub fn records_decoded(&self) -> u64 {
         self.core.records_decoded
     }
@@ -182,7 +124,10 @@ impl StreamDecoder {
     }
 
     /// Accepts the next fragment of the byte stream, decoding every
-    /// header/chunk it completes.
+    /// header/chunk it completes. Idle stamps go into the stamp column
+    /// that [`poll_batch`](Self::poll_batch) drains; records of other
+    /// streams are decoded, validated and discarded, as
+    /// [`feed_gaps`](Self::feed_gaps) does.
     ///
     /// # Errors
     ///
@@ -197,9 +142,8 @@ impl StreamDecoder {
     /// idle stamps straight to latency through the fused kernel
     /// ([`crate::codec::decode_stamp_gaps`]): for every stamp gap longer
     /// than the stream's baseline, `gap − baseline` cycles are appended
-    /// to `excess`, and nothing is queued for [`poll`](Self::poll).
-    /// Records of non-stamp streams are decoded (and validated) and
-    /// discarded.
+    /// to `excess`, and no stamp is stored. Records of non-stamp streams
+    /// are decoded (and validated) and discarded.
     ///
     /// The result equals [`feed`](Self::feed) + [`poll_batch`] + a walk
     /// comparing each stamp to its predecessor, under any fragmentation
@@ -261,31 +205,17 @@ impl StreamDecoder {
         Ok(())
     }
 
-    /// Takes the next fully-decoded record, if one is ready.
-    pub fn poll(&mut self) -> Option<Record> {
-        let core = &mut self.core;
-        if let Some(&s) = core.stamps.get(core.stamp_head) {
-            core.stamp_head += 1;
-            if core.stamp_head == core.stamps.len() {
-                core.stamps.clear();
-                core.stamp_head = 0;
-            }
-            return Some(Record::Stamp(s));
-        }
-        core.ready.pop_front()
-    }
-
     /// Captures the decoder's resumable state so an equivalent decoder
     /// can be rebuilt later (in another process) with
     /// [`restore`](Self::restore) and continue mid-stream.
     ///
-    /// Returns `None` when the decoder is poisoned or still holds
-    /// decoded-but-unpolled records — export is only meaningful once the
+    /// Returns `None` when the decoder is poisoned or its stamp column
+    /// still holds undrained stamps — export is only meaningful once the
     /// caller has drained everything it fed, which is exactly the state
     /// a frame-boundary checkpoint runs in.
     pub fn export_state(&self) -> Option<DecoderState> {
         let core = &self.core;
-        if core.poisoned || !core.ready.is_empty() || core.stamp_head < core.stamps.len() {
+        if core.poisoned || !core.stamps.is_empty() {
             return None;
         }
         Some(DecoderState {
@@ -296,7 +226,6 @@ impl StreamDecoder {
             any_read: core.any_read,
             records_decoded: core.records_decoded,
             chunks_decoded: core.chunks_decoded,
-            scalar: core.scalar,
         })
     }
 
@@ -309,43 +238,30 @@ impl StreamDecoder {
             bytes_fed: state.bytes_fed,
             core: DecoderCore {
                 meta: state.meta,
-                ready: VecDeque::new(),
                 stamps: Vec::new(),
-                stamp_head: 0,
                 prev_at: state.prev_at,
                 any_read: state.any_read,
                 records_decoded: state.records_decoded,
                 chunks_decoded: state.chunks_decoded,
                 poisoned: false,
-                scalar: state.scalar,
             },
         }
     }
 
-    /// Drains every decoded-but-unpolled idle stamp into `out` in one
-    /// `memcpy`-shaped append; returns how many were appended.
-    ///
-    /// Equivalent to calling [`poll`](StreamDecoder::poll) until it runs
-    /// dry and collecting the `Record::Stamp` payloads — the property
-    /// tests assert exactly that — but without constructing a `Record`
-    /// per stamp. Pass a reusable buffer to keep the batch path
-    /// allocation-free. Non-stamp streams always return 0 (their records
-    /// remain available through `poll`).
+    /// Drains the stamp column into `out` in one `memcpy`-shaped append;
+    /// returns how many stamps were appended. Pass a reusable buffer to
+    /// keep the column path allocation-free. Non-stamp streams always
+    /// return 0.
     pub fn poll_batch(&mut self, out: &mut Vec<u64>) -> usize {
-        let core = &mut self.core;
-        let n = core.stamps.len() - core.stamp_head;
-        if n > 0 {
-            out.extend_from_slice(&core.stamps[core.stamp_head..]);
-            core.stamps.clear();
-            core.stamp_head = 0;
-        }
+        let n = self.core.stamps.len();
+        out.append(&mut self.core.stamps);
         n
     }
 }
 
 /// A [`StreamDecoder`]'s resumable state, captured at a point where all
-/// decoded records have been polled out. Everything here is plain data,
-/// so a persistence layer can serialize it (the serve checkpoint codec
+/// decoded stamps have been drained. Everything here is plain data, so
+/// a persistence layer can serialize it (the serve checkpoint codec
 /// does) and [`StreamDecoder::restore`] an equivalent decoder after a
 /// crash — mid-chunk carry bytes included.
 #[derive(Debug, Clone, PartialEq)]
@@ -364,8 +280,6 @@ pub struct DecoderState {
     pub records_decoded: u64,
     /// Chunks decoded so far.
     pub chunks_decoded: u64,
-    /// Whether the decoder ran in scalar (per-record) mode.
-    pub scalar: bool,
 }
 
 impl DecoderCore {
@@ -488,9 +402,9 @@ impl DecoderCore {
             )?,
             // Columnar: the whole chunk in one pass, straight into the
             // stamp column. State advances per stamp, so a mid-chunk
-            // error leaves the decoded prefix pollable — exactly what
-            // the scalar path leaves behind.
-            None if kind == StreamKind::IdleStamps && !self.scalar => codec::decode_stamp_chunk(
+            // error leaves the decoded prefix drainable — exactly the
+            // stamps the file reader yields before the same error.
+            None if kind == StreamKind::IdleStamps => codec::decode_stamp_chunk(
                 payload,
                 count,
                 &mut self.stamps,
@@ -498,8 +412,9 @@ impl DecoderCore {
                 &mut self.any_read,
                 &mut self.records_decoded,
             )?,
-            gaps => {
-                let keep = gaps.is_none();
+            // Other streams: every record is decoded, validated and
+            // discarded.
+            _ => {
                 let mut pos = 0usize;
                 for _ in 0..count {
                     let rec = codec::decode_record(
@@ -513,9 +428,6 @@ impl DecoderCore {
                     self.prev_at = rec.at_cycles();
                     self.any_read = true;
                     self.records_decoded += 1;
-                    if keep {
-                        self.ready.push_back(rec);
-                    }
                 }
                 pos
             }
@@ -533,8 +445,9 @@ impl DecoderCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ApiRecord;
+    use crate::record::Record;
     use crate::writer::TraceWriter;
+    use crate::TraceReader;
     use latlab_des::{CpuFreq, SimDuration};
 
     fn stamp_meta() -> TraceMeta {
@@ -558,12 +471,7 @@ mod tests {
 
     fn drain(d: &mut StreamDecoder) -> Vec<u64> {
         let mut out = Vec::new();
-        while let Some(rec) = d.poll() {
-            match rec {
-                Record::Stamp(s) => out.push(s),
-                other => panic!("unexpected record {other:?}"),
-            }
-        }
+        d.poll_batch(&mut out);
         out
     }
 
@@ -608,61 +516,20 @@ mod tests {
             let before = got.len();
             let n = d.poll_batch(&mut got);
             assert_eq!(got.len(), before + n);
-            // The column is drained: a scalar poll finds nothing.
-            assert!(d.poll().is_none());
+            // The column is drained: a second drain finds nothing.
+            assert_eq!(d.poll_batch(&mut got), 0);
         }
         assert_eq!(got, stamps);
         assert!(d.is_clean_boundary());
     }
 
     #[test]
-    fn poll_and_poll_batch_interleave() {
-        let (bytes, stamps) = encoded_stamps(6_000);
-        let mut d = StreamDecoder::new();
-        d.feed(&bytes).unwrap();
-        let mut got = Vec::new();
-        // Alternate: a few scalar polls, then a batch drain, then feed
-        // nothing more — order must be preserved across the mix.
-        for _ in 0..5 {
-            match d.poll() {
-                Some(Record::Stamp(s)) => got.push(s),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        d.poll_batch(&mut got);
-        assert_eq!(got, stamps);
-    }
-
-    #[test]
-    fn scalar_mode_matches_columnar_mode() {
-        let (bytes, stamps) = encoded_stamps(8_000);
-        for frag in [1usize, 13, 997, usize::MAX] {
-            let mut scalar = StreamDecoder::new_scalar();
-            let mut batch = StreamDecoder::new();
-            let mut via_scalar = Vec::new();
-            let mut via_batch = Vec::new();
-            for piece in bytes.chunks(frag.min(bytes.len())) {
-                scalar.feed(piece).unwrap();
-                batch.feed(piece).unwrap();
-                // A scalar decoder has no stamp column to drain.
-                assert_eq!(scalar.poll_batch(&mut via_batch), 0);
-                via_scalar.extend(drain(&mut scalar));
-                batch.poll_batch(&mut via_batch);
-            }
-            assert_eq!(via_scalar, stamps, "fragment size {frag}");
-            assert_eq!(via_batch, stamps, "fragment size {frag}");
-            assert!(scalar.is_clean_boundary());
-            assert_eq!(scalar.records_decoded(), batch.records_decoded());
-            assert_eq!(scalar.chunks_decoded(), batch.chunks_decoded());
-        }
-    }
-
-    #[test]
-    fn scalar_mode_reports_the_same_errors() {
-        // Zero delta mid-stream: both modes must fail with NonMonotonic
-        // at the same record index and keep the decoded prefix pollable.
-        // TraceWriter rejects non-monotonic input, so take its header
-        // and frame a bad chunk by hand.
+    fn column_reports_the_reader_error() {
+        // Zero delta mid-stream: the column must fail with the file
+        // reader's error (NonMonotonic at the same record index) and hold
+        // the stamps the reader yields before it. TraceWriter rejects
+        // non-monotonic input, so take its header and frame a bad chunk
+        // by hand.
         let w = TraceWriter::create(Vec::new(), stamp_meta()).unwrap();
         let header = w.finish().unwrap();
         let mut payload = Vec::new();
@@ -675,16 +542,24 @@ mod tests {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
 
-        let mut scalar = StreamDecoder::new_scalar();
-        let mut batch = StreamDecoder::new();
-        let es = scalar.feed(&bytes).unwrap_err();
-        let eb = batch.feed(&bytes).unwrap_err();
-        assert_eq!(format!("{es:?}"), format!("{eb:?}"));
-        assert!(matches!(es, TraceError::NonMonotonic { index: 2 }), "{es}");
-        assert_eq!(drain(&mut scalar), vec![100, 200]);
-        let mut col = Vec::new();
-        batch.poll_batch(&mut col);
-        assert_eq!(col, vec![100, 200]);
+        let mut reader = TraceReader::open(&bytes[..]).unwrap();
+        let mut read = Vec::new();
+        let expected = loop {
+            match reader.next() {
+                Ok(Some(rec)) => read.push(rec.at_cycles()),
+                Ok(None) => panic!("a zero delta must fail the reader"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(expected, TraceError::NonMonotonic { index: 2 }),
+            "{expected}"
+        );
+        assert_eq!(read, vec![100, 200]);
+        let mut d = StreamDecoder::new();
+        let err = d.feed(&bytes).unwrap_err();
+        assert_eq!(format!("{err:?}"), format!("{expected:?}"));
+        assert_eq!(drain(&mut d), read);
     }
 
     #[test]
@@ -751,7 +626,7 @@ mod tests {
         let (bytes, _) = encoded_stamps(200);
         let mut d = StreamDecoder::new();
         d.feed(&bytes).unwrap();
-        // Stamps decoded but not yet polled: no export.
+        // Stamps decoded but not yet drained: no export.
         assert!(d.export_state().is_none());
         let mut col = Vec::new();
         d.poll_batch(&mut col);
@@ -760,64 +635,5 @@ mod tests {
         let mut poisoned = StreamDecoder::new();
         poisoned.feed(b"NOPE").unwrap_err();
         assert!(poisoned.export_state().is_none());
-    }
-
-    #[test]
-    fn export_restore_preserves_scalar_mode() {
-        let (bytes, stamps) = encoded_stamps(300);
-        let mut d = StreamDecoder::new_scalar();
-        d.feed(&bytes[..40]).unwrap();
-        let got_prefix = drain(&mut d);
-        let state = d.export_state().unwrap();
-        assert!(state.scalar);
-        let mut r = StreamDecoder::restore(state);
-        r.feed(&bytes[40..]).unwrap();
-        // Still scalar: poll_batch drains nothing, poll yields the rest.
-        let mut none = Vec::new();
-        assert_eq!(r.poll_batch(&mut none), 0);
-        let mut got = got_prefix;
-        got.extend(drain(&mut r));
-        assert_eq!(got, stamps);
-    }
-
-    #[test]
-    fn api_records_round_trip_incrementally() {
-        let meta = TraceMeta {
-            kind: StreamKind::ApiLog,
-            ..stamp_meta()
-        };
-        let recs: Vec<ApiRecord> = (0..700u64)
-            .map(|i| ApiRecord {
-                at_cycles: i * 1000,
-                thread: (i % 7) as u32,
-                entry: (i % 5) as u8,
-                outcome: (i % 3) as u8,
-                a: i * 31,
-                b: u64::MAX - i,
-                queue_len: (i % 11) as u32,
-            })
-            .collect();
-        let mut w = TraceWriter::create(Vec::new(), meta).unwrap();
-        for r in &recs {
-            w.write(&Record::Api(*r)).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut d = StreamDecoder::new();
-        let mut got = Vec::new();
-        for piece in bytes.chunks(17) {
-            d.feed(piece).unwrap();
-            // poll_batch is a stamp-column operation: on an API stream it
-            // must drain nothing and leave the records pollable.
-            let mut none = Vec::new();
-            assert_eq!(d.poll_batch(&mut none), 0);
-            while let Some(rec) = d.poll() {
-                match rec {
-                    Record::Api(a) => got.push(a),
-                    other => panic!("unexpected record {other:?}"),
-                }
-            }
-        }
-        assert_eq!(got, recs);
-        assert!(d.is_clean_boundary());
     }
 }

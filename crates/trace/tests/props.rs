@@ -50,38 +50,37 @@ fn stamps_from(start: u64, deltas: &[u64]) -> Vec<Record> {
     out
 }
 
+/// The written stamps: `deltas` summed from `start`.
+fn cumulative(start: u64, deltas: &[u64]) -> Vec<u64> {
+    deltas
+        .iter()
+        .scan(start, |t, d| {
+            *t += d;
+            Some(*t)
+        })
+        .collect()
+}
+
 /// What a [`StreamDecoder`] produced over a fragmented byte stream:
-/// every stamp decoded (including those salvaged after a failing feed)
-/// and, if a feed failed, at which fragment and with what error.
-#[derive(Debug, PartialEq)]
+/// every stamp drained from its column (including those decoded before
+/// a failing feed) and, if a feed failed, at which fragment and with
+/// what error.
+#[derive(Debug)]
 struct DrainOutcome {
     stamps: Vec<u64>,
     error: Option<(usize, String)>,
     clean_boundary: bool,
-}
-
-/// How [`drain_fragmented`] decodes and drains.
-#[derive(Clone, Copy, Debug)]
-enum DrainStyle {
-    /// Default (columnar) decoder, drained record-by-record via `poll`.
-    Poll,
-    /// Default (columnar) decoder, drained column-wise via `poll_batch`.
-    PollBatch,
-    /// [`StreamDecoder::new_scalar`] reference decoder, drained via
-    /// `poll` (its only output path).
-    ScalarDecoder,
+    /// Whether the decoder had decoded the stream header.
+    header: bool,
+    bytes_fed: u64,
 }
 
 /// Feeds `bytes` to a fresh decoder in `frags`-sized fragments
-/// (cycling), draining after every feed in the given style. Stops at
-/// the first feed error; records decoded before a mid-chunk error are
-/// still drained.
-fn drain_fragmented(bytes: &[u8], frags: &[usize], style: DrainStyle) -> DrainOutcome {
-    let mut d = match style {
-        DrainStyle::ScalarDecoder => StreamDecoder::new_scalar(),
-        _ => StreamDecoder::new(),
-    };
-    let batch = matches!(style, DrainStyle::PollBatch);
+/// (cycling), draining the stamp column with `poll_batch` after every
+/// feed. Stops at the first feed error; stamps decoded before a
+/// mid-chunk error are still drained.
+fn drain_fragmented(bytes: &[u8], frags: &[usize]) -> DrainOutcome {
+    let mut d = StreamDecoder::new();
     let mut stamps = Vec::new();
     let mut error = None;
     let mut rest = bytes;
@@ -93,16 +92,7 @@ fn drain_fragmented(bytes: &[u8], frags: &[usize], style: DrainStyle) -> DrainOu
         let take = (*cuts.next().unwrap()).min(rest.len());
         let (head, tail) = rest.split_at(take);
         let fed = d.feed(head);
-        if batch {
-            d.poll_batch(&mut stamps);
-        } else {
-            while let Some(rec) = d.poll() {
-                match rec {
-                    Record::Stamp(s) => stamps.push(s),
-                    other => panic!("non-stamp record in stamp stream: {other:?}"),
-                }
-            }
-        }
+        d.poll_batch(&mut stamps);
         if let Err(e) = fed {
             error = Some((index, format!("{e:?}")));
             break;
@@ -113,7 +103,44 @@ fn drain_fragmented(bytes: &[u8], frags: &[usize], style: DrainStyle) -> DrainOu
         stamps,
         error,
         clean_boundary: d.is_clean_boundary(),
+        header: d.meta().is_some(),
+        bytes_fed: d.bytes_fed(),
     }
+}
+
+/// The file reader's view of `bytes`: the time of every record it
+/// yields, and the error it stops on.
+fn read_times(bytes: &[u8]) -> (Vec<u64>, Option<TraceError>) {
+    let mut times = Vec::new();
+    let mut reader = match TraceReader::open(bytes) {
+        Ok(reader) => reader,
+        Err(e) => return (times, Some(e)),
+    };
+    loop {
+        match reader.next() {
+            Ok(Some(rec)) => times.push(rec.at_cycles()),
+            Ok(None) => return (times, None),
+            Err(e) => return (times, Some(e)),
+        }
+    }
+}
+
+/// Drains `bytes` through the stamp column ([`drain_fragmented`]) and
+/// holds the outcome to [`TraceReader`] over the same bytes: the same
+/// stamps; on a decoder error, a `Debug`-equal reader error; a decoder
+/// still waiting for the rest of a header or chunk where the reader
+/// reports `Truncated`; and a clean end where the reader ends cleanly.
+fn check_column_against_reader(bytes: &[u8], frags: &[usize]) -> DrainOutcome {
+    let out = drain_fragmented(bytes, frags);
+    let (stamps, error) = read_times(bytes);
+    let error = error.map(|e| format!("{e:?}"));
+    assert_eq!(out.stamps, stamps, "column vs reader stamps");
+    match &out.error {
+        Some((_, e)) => assert_eq!(Some(e), error.as_ref()),
+        None if out.clean_boundary && out.header => assert_eq!(error, None),
+        None => assert_eq!(error.as_deref(), Some("Truncated")),
+    }
+    out
 }
 
 proptest! {
@@ -284,227 +311,68 @@ proptest! {
         prop_assert!(drain(&bytes).is_err());
     }
 
-    /// The incremental decoder yields exactly the file reader's records
-    /// under any fragmentation of the same byte stream.
+    /// The stamp column yields exactly the file reader's stamps under
+    /// any fragmentation of the same byte stream.
     #[test]
     fn stream_decoder_is_fragmentation_invariant(
         start in 0u64..1_000_000_000,
         deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
         frags in prop::collection::vec(1usize..512, 1..64),
     ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
-        let mut d = latlab_trace::StreamDecoder::new();
-        let mut got = Vec::new();
-        let mut rest = &bytes[..];
-        let mut cuts = frags.iter().cycle();
-        while !rest.is_empty() {
-            let take = (*cuts.next().unwrap()).min(rest.len());
-            let (head, tail) = rest.split_at(take);
-            d.feed(head).unwrap();
-            while let Some(rec) = d.poll() {
-                got.push(rec);
-            }
-            rest = tail;
-        }
-        prop_assert_eq!(got, records);
-        prop_assert!(d.is_clean_boundary());
-        prop_assert_eq!(d.bytes_fed(), bytes.len() as u64);
+        let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let out = check_column_against_reader(&bytes, &frags);
+        prop_assert!(out.error.is_none());
+        prop_assert!(out.clean_boundary);
+        prop_assert_eq!(out.stamps, cumulative(start, &deltas));
+        prop_assert_eq!(out.bytes_fed, bytes.len() as u64);
     }
 
-    /// Cutting the stream anywhere never panics the incremental decoder
-    /// and never invents records: what was decoded is a strict prefix.
+    /// Cutting the stream anywhere never panics the incremental decoder,
+    /// never errors and never invents records: the column holds what the
+    /// reader reads from the same cut, a prefix of the written stamps,
+    /// and a cut inside a header or chunk leaves it waiting where the
+    /// reader reports `Truncated`.
     #[test]
     fn stream_decoder_truncation_yields_prefix(
-        start in 0u64..1_000_000,
-        deltas in prop::collection::vec(1u64..200_000, 1..800),
-        cut_permille in 0u64..1000,
-    ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
-        let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
-        let mut d = latlab_trace::StreamDecoder::new();
-        d.feed(&bytes[..cut]).unwrap();
-        let mut got = Vec::new();
-        while let Some(rec) = d.poll() {
-            got.push(rec);
-        }
-        prop_assert!(got.len() <= records.len());
-        prop_assert_eq!(&got[..], &records[..got.len()]);
-        if cut < bytes.len() {
-            prop_assert!(!d.is_clean_boundary() || got.len() < records.len() || got.is_empty());
-        }
-    }
-
-    /// The columnar drain is observationally identical to the scalar
-    /// one on intact streams under any fragmentation, and both agree
-    /// with the file reader.
-    #[test]
-    fn poll_batch_matches_poll_on_intact_streams(
-        start in 0u64..1_000_000_000,
-        deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
-        frags in prop::collection::vec(1usize..512, 1..64),
-    ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
-        let scalar = drain_fragmented(&bytes, &frags, DrainStyle::Poll);
-        let batch = drain_fragmented(&bytes, &frags, DrainStyle::PollBatch);
-        prop_assert_eq!(&batch, &scalar);
-        prop_assert!(batch.error.is_none());
-        prop_assert!(batch.clean_boundary);
-        let expect: Vec<u64> = deltas
-            .iter()
-            .scan(start, |t, d| { *t += d; Some(*t) })
-            .collect();
-        prop_assert_eq!(&batch.stamps, &expect);
-        let read: Vec<u64> = drain(&bytes)
-            .unwrap()
-            .into_iter()
-            .map(|r| match r {
-                Record::Stamp(s) => s,
-                other => panic!("non-stamp record: {other:?}"),
-            })
-            .collect();
-        prop_assert_eq!(&batch.stamps, &read);
-    }
-
-    /// Truncating the stream anywhere leaves both drain styles with the
-    /// same strict prefix and no error — a partial upload is silence,
-    /// never divergence.
-    #[test]
-    fn poll_batch_matches_poll_under_truncation(
         start in 0u64..1_000_000,
         deltas in prop::collection::vec(1u64..200_000, 1..1500),
         frags in prop::collection::vec(1usize..256, 1..32),
         cut_permille in 0u64..1000,
     ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
+        let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
         let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
-        let scalar = drain_fragmented(&bytes[..cut], &frags, DrainStyle::Poll);
-        let batch = drain_fragmented(&bytes[..cut], &frags, DrainStyle::PollBatch);
-        prop_assert_eq!(&batch, &scalar);
-        prop_assert!(batch.error.is_none());
-        let expect: Vec<u64> = deltas
-            .iter()
-            .scan(start, |t, d| { *t += d; Some(*t) })
-            .collect();
-        prop_assert!(batch.stamps.len() <= expect.len());
-        prop_assert_eq!(&batch.stamps[..], &expect[..batch.stamps.len()]);
+        let out = check_column_against_reader(&bytes[..cut], &frags);
+        prop_assert!(out.error.is_none());
+        let expect = cumulative(start, &deltas);
+        prop_assert!(out.stamps.len() < expect.len());
+        prop_assert_eq!(&out.stamps[..], &expect[..out.stamps.len()]);
     }
 
-    /// A single-bit flip anywhere surfaces through both drain styles at
-    /// the same fragment with the same error, after the same salvaged
-    /// prefix of stamps.
+    /// Zero deltas, or a bit flipped anywhere in the stream or in a
+    /// payload under a valid CRC: the column holds the reader's stamps
+    /// and fails with the reader's error at its record, or waits for
+    /// bytes where the reader reports `Truncated`.
     #[test]
-    fn poll_batch_matches_poll_under_corruption(
-        start in 0u64..1_000_000,
-        deltas in prop::collection::vec(1u64..200_000, 1..800),
+    fn stream_decoder_matches_reader_under_corruption(
+        baseline in (0..GAP_BASELINES.len()).prop_map(|i| GAP_BASELINES[i]),
+        draws in prop::collection::vec((0u32..10, 0u64..1 << 20), 1..800),
+        sizes in prop::collection::vec(1usize..300, 1..8),
         frags in prop::collection::vec(1usize..256, 1..32),
-        pos_permille in 0u64..1000,
-        bit in 0u32..8,
+        flip in (0u32..3, 0u64..1 << 32, 0u32..8),
     ) {
-        let records = stamps_from(start, &deltas);
-        let mut bytes = encode(StreamKind::IdleStamps, &records);
-        let pos = (bytes.len() as u64 * pos_permille / 1000) as usize;
-        bytes[pos] ^= 1 << bit;
-        let scalar = drain_fragmented(&bytes, &frags, DrainStyle::Poll);
-        let batch = drain_fragmented(&bytes, &frags, DrainStyle::PollBatch);
-        prop_assert_eq!(&batch, &scalar);
-        // A flip either surfaces as a feed error or (e.g. an inflated
-        // chunk-length field) strands the decoder mid-unit waiting for
-        // bytes that never come — it can never pass as a clean stream.
-        prop_assert!(batch.error.is_some() || !batch.clean_boundary);
-        let expect: Vec<u64> = deltas
-            .iter()
-            .scan(start, |t, d| { *t += d; Some(*t) })
-            .collect();
-        prop_assert!(batch.stamps.len() <= expect.len());
-        prop_assert_eq!(&batch.stamps[..], &expect[..batch.stamps.len()]);
-    }
-
-    /// `poll` and `poll_batch` compose: alternating per fragment on one
-    /// decoder still yields exactly the written stamps.
-    #[test]
-    fn poll_and_poll_batch_interleave_losslessly(
-        start in 0u64..1_000_000_000,
-        deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
-        frags in prop::collection::vec(1usize..512, 1..64),
-        styles in prop::collection::vec(any::<bool>(), 1..16),
-    ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
-        let mut d = StreamDecoder::new();
-        let mut got = Vec::new();
-        let mut rest = &bytes[..];
-        let mut cuts = frags.iter().cycle();
-        let mut style = styles.iter().cycle();
-        while !rest.is_empty() {
-            let take = (*cuts.next().unwrap()).min(rest.len());
-            let (head, tail) = rest.split_at(take);
-            d.feed(head).unwrap();
-            if *style.next().unwrap() {
-                d.poll_batch(&mut got);
-            } else {
-                while let Some(rec) = d.poll() {
-                    match rec {
-                        Record::Stamp(s) => got.push(s),
-                        other => panic!("non-stamp record: {other:?}"),
-                    }
-                }
-            }
-            rest = tail;
+        let (deltas, bytes) = corrupted_gap_stream(baseline, draws, &sizes, flip);
+        let out = check_column_against_reader(&bytes, &frags);
+        if flip.0 == 2 {
+            // A flip outside the CRC'd payloads either surfaces as a
+            // feed error or (e.g. an inflated chunk-length field) strands
+            // the decoder mid-unit — it never passes as a clean stream.
+            prop_assert!(out.error.is_some() || !out.clean_boundary);
         }
-        let expect: Vec<u64> = deltas
-            .iter()
-            .scan(start, |t, d| { *t += d; Some(*t) })
-            .collect();
-        prop_assert_eq!(got, expect);
-        prop_assert!(d.is_clean_boundary());
-    }
-
-    /// The scalar-mode reference decoder ([`StreamDecoder::new_scalar`])
-    /// is observationally identical to the default columnar decoder on
-    /// intact streams under any fragmentation.
-    #[test]
-    fn scalar_mode_decoder_matches_columnar(
-        start in 0u64..1_000_000_000,
-        deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
-        frags in prop::collection::vec(1usize..512, 1..64),
-    ) {
-        let records = stamps_from(start, &deltas);
-        let bytes = encode(StreamKind::IdleStamps, &records);
-        let reference = drain_fragmented(&bytes, &frags, DrainStyle::ScalarDecoder);
-        let columnar = drain_fragmented(&bytes, &frags, DrainStyle::PollBatch);
-        prop_assert_eq!(&reference, &columnar);
-        prop_assert!(reference.error.is_none());
-        prop_assert!(reference.clean_boundary);
-        let expect: Vec<u64> = deltas
-            .iter()
-            .scan(start, |t, d| { *t += d; Some(*t) })
-            .collect();
-        prop_assert_eq!(&reference.stamps, &expect);
-    }
-
-    /// Corruption surfaces identically through the scalar-mode reference
-    /// decoder and the columnar one: same salvaged prefix, same error at
-    /// the same fragment.
-    #[test]
-    fn scalar_mode_decoder_matches_columnar_under_corruption(
-        start in 0u64..1_000_000,
-        deltas in prop::collection::vec(1u64..200_000, 1..800),
-        frags in prop::collection::vec(1usize..256, 1..32),
-        pos_permille in 0u64..1000,
-        bit in 0u32..8,
-    ) {
-        let records = stamps_from(start, &deltas);
-        let mut bytes = encode(StreamKind::IdleStamps, &records);
-        let pos = (bytes.len() as u64 * pos_permille / 1000) as usize;
-        bytes[pos] ^= 1 << bit;
-        let reference = drain_fragmented(&bytes, &frags, DrainStyle::ScalarDecoder);
-        let columnar = drain_fragmented(&bytes, &frags, DrainStyle::PollBatch);
-        prop_assert_eq!(&reference, &columnar);
-        prop_assert!(reference.error.is_some() || !reference.clean_boundary);
+        if flip.0 != 1 {
+            let expect = cumulative(0, &deltas);
+            prop_assert!(out.stamps.len() <= expect.len());
+            prop_assert_eq!(&out.stamps[..], &expect[..out.stamps.len()]);
+        }
     }
 }
 
@@ -587,6 +455,28 @@ fn frame_gap_stream(
     bytes
 }
 
+/// A hand-framed stream of a first stamp of 1,000 and `draws` mapped
+/// through [`gap_delta`] (so zero deltas appear), in chunks of `sizes`
+/// records. `flip = (mode, at, bit)`: mode 0 leaves the bytes as framed,
+/// mode 1 flips a payload bit under a valid CRC, mode 2 flips a bit
+/// anywhere after framing. Returns the deltas and the bytes.
+fn corrupted_gap_stream(
+    baseline: u64,
+    draws: Vec<(u32, u64)>,
+    sizes: &[usize],
+    (mode, at, bit): (u32, u64, u32),
+) -> (Vec<u64>, Vec<u8>) {
+    let mut deltas = vec![1_000];
+    deltas.extend(draws.into_iter().map(|d| gap_delta(baseline, d)));
+    let poke = (mode == 1).then_some((at, bit));
+    let mut bytes = frame_gap_stream(baseline, &deltas, sizes, poke);
+    if mode == 2 {
+        let i = (at % bytes.len() as u64) as usize;
+        bytes[i] ^= 1 << bit;
+    }
+    (deltas, bytes)
+}
+
 /// What a decoder left after a fragmented stream, fed either through
 /// the fused kernel or through the column path plus a gap walk.
 #[derive(Debug, PartialEq)]
@@ -649,11 +539,13 @@ fn gaps_fragmented(bytes: &[u8], frags: &[usize], fused: bool) -> GapOutcome {
     }
 }
 
-/// Asserts the fused kernel and the oracle agree on `bytes`; returns
-/// the shared outcome.
+/// Asserts the fused kernel and the oracle agree on `bytes`, and that
+/// the oracle's stamp column agrees with the file reader; returns the
+/// shared outcome.
 fn check_gaps(bytes: &[u8], frags: &[usize]) -> GapOutcome {
     let fused = gaps_fragmented(bytes, frags, true);
     assert_eq!(fused, gaps_fragmented(bytes, frags, false));
+    check_column_against_reader(bytes, frags);
     fused
 }
 
@@ -723,7 +615,7 @@ fn feed_gaps_exports_and_restores_its_anchor() {
 
 #[test]
 fn feed_gaps_decodes_and_discards_other_streams() {
-    let records: Vec<Record> = (0..900u64)
+    let counters: Vec<Record> = (0..900u64)
         .map(|i| {
             Record::Counter(CounterRecord {
                 at_cycles: i * 1_000,
@@ -732,16 +624,52 @@ fn feed_gaps_decodes_and_discards_other_streams() {
             })
         })
         .collect();
-    let bytes = encode(StreamKind::Counters, &records);
-    let mut d = StreamDecoder::new();
-    let mut excess = Vec::new();
-    for piece in bytes.chunks(101) {
-        d.feed_gaps(piece, &mut excess).unwrap();
+    let api: Vec<Record> = (0..700u64)
+        .map(|i| {
+            Record::Api(ApiRecord {
+                at_cycles: i * 1000,
+                thread: (i % 7) as u32,
+                entry: (i % 5) as u8,
+                outcome: (i % 3) as u8,
+                a: i * 31,
+                b: u64::MAX - i,
+                queue_len: (i % 11) as u32,
+            })
+        })
+        .collect();
+    for (kind, records) in [(StreamKind::Counters, counters), (StreamKind::ApiLog, api)] {
+        let bytes = encode(kind, &records);
+        // A bit of the last chunk's payload, caught by its CRC.
+        let mut flipped = bytes.clone();
+        *flipped.last_mut().unwrap() ^= 0x10;
+        let (_, expected) = read_times(&flipped);
+        let expected = format!("{:?}", expected.expect("the reader fails"));
+        // `feed_gaps`, then `feed`: both validate, count and discard.
+        for fused in [true, false] {
+            let mut excess = Vec::new();
+            let mut feed = |d: &mut StreamDecoder, piece: &[u8]| {
+                if fused {
+                    d.feed_gaps(piece, &mut excess)
+                } else {
+                    d.feed(piece)
+                }
+            };
+            let mut d = StreamDecoder::new();
+            for piece in bytes.chunks(101) {
+                feed(&mut d, piece).unwrap();
+            }
+            assert_eq!(d.records_decoded(), records.len() as u64);
+            assert!(d.is_clean_boundary());
+            let mut bad = StreamDecoder::new();
+            let err = flipped
+                .chunks(101)
+                .try_for_each(|piece| feed(&mut bad, piece))
+                .unwrap_err();
+            assert_eq!(format!("{err:?}"), expected, "{kind:?}, fused {fused}");
+            assert_eq!(d.poll_batch(&mut excess), 0);
+            assert!(excess.is_empty());
+        }
     }
-    assert!(excess.is_empty());
-    assert!(d.poll().is_none());
-    assert_eq!(d.records_decoded(), 900);
-    assert!(d.is_clean_boundary());
 }
 
 /// A value of each varint width, one to four bytes.
@@ -949,15 +877,7 @@ proptest! {
         frags in prop::collection::vec(1usize..256, 1..32),
         flip in (0u32..3, 0u64..1 << 32, 0u32..8),
     ) {
-        let mut deltas = vec![1_000];
-        deltas.extend(draws.into_iter().map(|d| gap_delta(baseline, d)));
-        let (mode, at, bit) = flip;
-        let poke = (mode == 1).then_some((at, bit));
-        let mut bytes = frame_gap_stream(baseline, &deltas, &sizes, poke);
-        if mode == 2 {
-            let i = (at % bytes.len() as u64) as usize;
-            bytes[i] ^= 1 << bit;
-        }
+        let (_, bytes) = corrupted_gap_stream(baseline, draws, &sizes, flip);
         check_gaps(&bytes, &frags);
     }
 }
