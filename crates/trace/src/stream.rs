@@ -445,7 +445,7 @@ impl DecoderCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
+    use crate::record::{ApiRecord, Record};
     use crate::writer::TraceWriter;
     use crate::TraceReader;
     use latlab_des::{CpuFreq, SimDuration};
@@ -521,6 +521,31 @@ mod tests {
         }
         assert_eq!(got, stamps);
         assert!(d.is_clean_boundary());
+    }
+
+    #[test]
+    fn scalar_mode_matches_columnar_mode() {
+        // The per-record reference is the file reader: every fragment
+        // size yields its stamps and its record count through the column.
+        let (bytes, stamps) = encoded_stamps(8_000);
+        let mut reader = TraceReader::open(&bytes[..]).unwrap();
+        let mut read = Vec::new();
+        while let Some(rec) = reader.next().unwrap() {
+            read.push(rec.at_cycles());
+        }
+        assert_eq!(read, stamps);
+        for frag in [1usize, 13, 997, usize::MAX] {
+            let mut d = StreamDecoder::new();
+            let mut got = Vec::new();
+            for piece in bytes.chunks(frag.min(bytes.len())) {
+                d.feed(piece).unwrap();
+                got.extend(drain(&mut d));
+            }
+            assert_eq!(got, read, "fragment size {frag}");
+            assert!(d.is_clean_boundary());
+            assert_eq!(d.records_decoded(), read.len() as u64);
+            assert_eq!(d.bytes_fed(), bytes.len() as u64);
+        }
     }
 
     #[test]
@@ -635,5 +660,53 @@ mod tests {
         let mut poisoned = StreamDecoder::new();
         poisoned.feed(b"NOPE").unwrap_err();
         assert!(poisoned.export_state().is_none());
+    }
+
+    #[test]
+    fn api_records_round_trip_incrementally() {
+        let meta = TraceMeta {
+            kind: StreamKind::ApiLog,
+            ..stamp_meta()
+        };
+        let recs: Vec<Record> = (0..700u64)
+            .map(|i| {
+                Record::Api(ApiRecord {
+                    at_cycles: i * 1000,
+                    thread: (i % 7) as u32,
+                    entry: (i % 5) as u8,
+                    outcome: (i % 3) as u8,
+                    a: i * 31,
+                    b: u64::MAX - i,
+                    queue_len: (i % 11) as u32,
+                })
+            })
+            .collect();
+        let mut w = TraceWriter::create(Vec::new(), meta.clone()).unwrap();
+        for r in &recs {
+            w.write(r).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        let mut reader = TraceReader::open(&bytes[..]).unwrap();
+        let mut read = Vec::new();
+        while let Some(rec) = reader.next().unwrap() {
+            read.push(rec);
+        }
+        assert_eq!(read, recs);
+        // `feed` validates and counts API records, keeps none in the
+        // stamp column, and exports and restores between any two pieces.
+        let mut d = StreamDecoder::new();
+        for (i, piece) in bytes.chunks(17).enumerate() {
+            d.feed(piece).unwrap();
+            let mut none = Vec::new();
+            assert_eq!(d.poll_batch(&mut none), 0);
+            if i % 9 == 4 {
+                let state = d.export_state().expect("nothing is left undrained");
+                d = StreamDecoder::restore(state);
+            }
+        }
+        assert_eq!(d.meta(), Some(&meta));
+        assert_eq!(d.records_decoded(), recs.len() as u64);
+        assert!(d.chunks_decoded() >= 1);
+        assert!(d.is_clean_boundary());
     }
 }

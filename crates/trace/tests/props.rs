@@ -327,21 +327,21 @@ proptest! {
         prop_assert_eq!(out.bytes_fed, bytes.len() as u64);
     }
 
-    /// Cutting the stream anywhere never panics the incremental decoder,
-    /// never errors and never invents records: the column holds what the
-    /// reader reads from the same cut, a prefix of the written stamps,
-    /// and a cut inside a header or chunk leaves it waiting where the
-    /// reader reports `Truncated`.
+    /// Cutting the stream anywhere and feeding what is left in one piece
+    /// never panics the incremental decoder, never errors and never
+    /// invents records: the column holds what the reader reads from the
+    /// same cut, a prefix of the written stamps, and a cut inside a
+    /// header or chunk leaves it waiting where the reader reports
+    /// `Truncated`.
     #[test]
     fn stream_decoder_truncation_yields_prefix(
         start in 0u64..1_000_000,
-        deltas in prop::collection::vec(1u64..200_000, 1..1500),
-        frags in prop::collection::vec(1usize..256, 1..32),
+        deltas in prop::collection::vec(1u64..200_000, 1..800),
         cut_permille in 0u64..1000,
     ) {
         let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
         let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
-        let out = check_column_against_reader(&bytes[..cut], &frags);
+        let out = check_column_against_reader(&bytes[..cut], &[usize::MAX]);
         prop_assert!(out.error.is_none());
         let expect = cumulative(start, &deltas);
         prop_assert!(out.stamps.len() < expect.len());
@@ -373,6 +373,123 @@ proptest! {
             prop_assert!(out.stamps.len() <= expect.len());
             prop_assert_eq!(&out.stamps[..], &expect[..out.stamps.len()]);
         }
+    }
+
+    /// Draining the column with `poll_batch` after every fragment or
+    /// once after the last one yields the same stamps, the reader's:
+    /// the column keeps what it decoded across feeds until drained.
+    #[test]
+    fn poll_batch_matches_poll_on_intact_streams(
+        start in 0u64..1_000_000_000,
+        deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
+        frags in prop::collection::vec(1usize..512, 1..64),
+    ) {
+        let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let every = check_column_against_reader(&bytes, &frags);
+        let mut d = StreamDecoder::new();
+        let mut rest = &bytes[..];
+        let mut cuts = frags.iter().cycle();
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at((*cuts.next().unwrap()).min(rest.len()));
+            d.feed(head).unwrap();
+            rest = tail;
+        }
+        let mut once = Vec::new();
+        prop_assert_eq!(d.poll_batch(&mut once), deltas.len());
+        prop_assert_eq!(d.poll_batch(&mut once), 0);
+        prop_assert_eq!(&once, &every.stamps);
+        prop_assert_eq!(&once, &cumulative(start, &deltas));
+        prop_assert!(every.error.is_none());
+        prop_assert!(every.clean_boundary && d.is_clean_boundary());
+        prop_assert_eq!(d.records_decoded(), deltas.len() as u64);
+    }
+
+    /// Truncating the stream anywhere and feeding what is left in
+    /// fragments leaves the column with the reader's strict prefix and
+    /// no error: a partial upload is silence, never divergence.
+    #[test]
+    fn poll_batch_matches_poll_under_truncation(
+        start in 0u64..1_000_000,
+        deltas in prop::collection::vec(1u64..200_000, 1..1500),
+        frags in prop::collection::vec(1usize..256, 1..32),
+        cut_permille in 0u64..1000,
+    ) {
+        let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let cut = (bytes.len() as u64 * cut_permille / 1000) as usize;
+        let out = check_column_against_reader(&bytes[..cut], &frags);
+        prop_assert!(out.error.is_none());
+        prop_assert_eq!(out.bytes_fed, cut as u64);
+        let expect = cumulative(start, &deltas);
+        prop_assert!(out.stamps.len() < expect.len());
+        prop_assert_eq!(&out.stamps[..], &expect[..out.stamps.len()]);
+    }
+
+    /// A single-bit flip anywhere in a written stamp stream fed in
+    /// fragments surfaces with the reader's error after the reader's
+    /// prefix of stamps, or strands the decoder where the reader reports
+    /// `Truncated`; it never passes as a clean stream.
+    #[test]
+    fn poll_batch_matches_poll_under_corruption(
+        start in 0u64..1_000_000,
+        deltas in prop::collection::vec(1u64..200_000, 1..800),
+        frags in prop::collection::vec(1usize..256, 1..32),
+        pos_permille in 0u64..1000,
+        bit in 0u32..8,
+    ) {
+        let mut bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let pos = (bytes.len() as u64 * pos_permille / 1000) as usize;
+        bytes[pos] ^= 1 << bit;
+        let out = check_column_against_reader(&bytes, &frags);
+        prop_assert!(out.error.is_some() || !out.clean_boundary);
+        let expect = cumulative(start, &deltas);
+        prop_assert!(out.stamps.len() <= expect.len());
+        prop_assert_eq!(&out.stamps[..], &expect[..out.stamps.len()]);
+    }
+
+    /// One whole-buffer feed and any fragmentation of an intact stream
+    /// leave the decoder in the same observable state, with the reader's
+    /// stamps.
+    #[test]
+    fn scalar_mode_decoder_matches_columnar(
+        start in 0u64..1_000_000_000,
+        deltas in prop::collection::vec(1u64..2_000_000, 0..3000),
+        frags in prop::collection::vec(1usize..512, 1..64),
+    ) {
+        let bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let whole = check_column_against_reader(&bytes, &[usize::MAX]);
+        let fragmented = check_column_against_reader(&bytes, &frags);
+        prop_assert_eq!(&whole.stamps, &fragmented.stamps);
+        prop_assert_eq!(&whole.stamps, &cumulative(start, &deltas));
+        prop_assert!(whole.error.is_none() && fragmented.error.is_none());
+        prop_assert!(whole.clean_boundary && fragmented.clean_boundary);
+        prop_assert!(whole.header && fragmented.header);
+        prop_assert_eq!(whole.bytes_fed, fragmented.bytes_fed);
+    }
+
+    /// Under a single-bit flip, one whole-buffer feed and a fragmented
+    /// one hold the reader's stamps and fail with the reader's error:
+    /// the same error for both, or neither fails and both wait mid-unit
+    /// where the reader reports `Truncated`.
+    #[test]
+    fn scalar_mode_decoder_matches_columnar_under_corruption(
+        start in 0u64..1_000_000,
+        deltas in prop::collection::vec(1u64..200_000, 1..800),
+        frags in prop::collection::vec(1usize..256, 1..32),
+        pos_permille in 0u64..1000,
+        bit in 0u32..8,
+    ) {
+        let mut bytes = encode(StreamKind::IdleStamps, &stamps_from(start, &deltas));
+        let pos = (bytes.len() as u64 * pos_permille / 1000) as usize;
+        bytes[pos] ^= 1 << bit;
+        let whole = check_column_against_reader(&bytes, &[usize::MAX]);
+        let fragmented = check_column_against_reader(&bytes, &frags);
+        prop_assert_eq!(&whole.stamps, &fragmented.stamps);
+        prop_assert_eq!(
+            whole.error.as_ref().map(|(_, e)| e),
+            fragmented.error.as_ref().map(|(_, e)| e)
+        );
+        prop_assert!(whole.error.is_some() || !whole.clean_boundary);
+        prop_assert!(fragmented.error.is_some() || !fragmented.clean_boundary);
     }
 }
 
