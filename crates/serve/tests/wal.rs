@@ -235,3 +235,106 @@ proptest! {
         prop_assert_eq!(stats.torn, !at_boundary, "cut at {}", cut);
     }
 }
+
+/// FNV-1a-64 of `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `name digest` for every file of one shard's log directory, by name.
+fn log_digests(dir: &std::path::Path) -> String {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list shard dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().into_string().expect("utf-8 name");
+            (name, std::fs::read(e.path()).expect("read log file"))
+        })
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|(name, bytes)| format!("{name} {:016x} {}\n", fnv64(bytes), bytes.len()))
+        .collect()
+}
+
+/// The log and checkpoint files a fixed upload sequence leaves behind
+/// are pinned byte for byte, so a change to who appends, flushes,
+/// rotates or checkpoints cannot change what lands on disk. One shard
+/// and one scenario keep the checkpoint's map order fixed; checkpoints
+/// come only from drains, since a size-triggered one lands at a commit
+/// round whose boundary depends on timing.
+#[test]
+fn log_and_checkpoint_bytes_are_pinned() {
+    let tmp = TempDir::new("pinned");
+    let start = || {
+        let wal = WalConfig {
+            segment_bytes: 24 * 1024,
+            checkpoint_bytes: u64::MAX,
+            ..WalConfig::new(&tmp.0)
+        };
+        Server::start(ServeConfig {
+            bind: "127.0.0.1:0".to_owned(),
+            shard: ShardConfig {
+                shards: 1,
+                queue_depth: 16,
+                publish_every: 1_000,
+            },
+            read_timeout: Duration::from_secs(5),
+            busy_retry: Duration::from_millis(100),
+            wal: Some(wal),
+        })
+        .expect("start server")
+    };
+    let shard_dir = tmp.0.join("shard-0");
+    let blob = synthetic_corpus(12_000, 0x9e11, 40);
+    let done = |server: &Server, client: &str, resume: bool| {
+        let outcome = upload(
+            server.local_addr(),
+            &put("fig5", client, resume),
+            &blob,
+            7_000,
+        )
+        .expect("upload");
+        assert!(matches!(outcome, UploadOutcome::Done { .. }), "{outcome:?}");
+    };
+
+    // Three uploads, one of them resumable, then a crash: the segments
+    // hold every record, rotated at the segment size.
+    let server = start();
+    done(&server, "c0", false);
+    done(&server, "c1", true);
+    done(&server, "c2", false);
+    server.crash();
+    let crashed = log_digests(&shard_dir);
+
+    // A restart replays them; its drain checkpoint covers the log.
+    let server = start();
+    assert!(server.recovery().frames > 0);
+    server.join();
+    let recovered = log_digests(&shard_dir);
+
+    // A live upload, then a drain checkpoint written from live state.
+    let server = start();
+    done(&server, "c1", true);
+    server.join();
+    let drained = log_digests(&shard_dir);
+
+    let got = format!("crashed:\n{crashed}recovered:\n{recovered}drained:\n{drained}");
+    let want = "\
+crashed:
+seg-00000000000000000001.wal 6e3a5644545d257a 31592
+seg-00000000000000000007.wal ca5fb7ef0dc460d5 31580
+seg-00000000000000000013.wal c7196573daa1973e 10497
+recovered:
+ckpt-00000000000000000015.ckpt 84320c81fe26efdd 1774
+seg-00000000000000000016.wal 117aa984a0776698 13
+drained:
+ckpt-00000000000000000015.ckpt 84320c81fe26efdd 1774
+ckpt-00000000000000000020.ckpt f1b0b506da6ab275 1774
+seg-00000000000000000021.wal ac608cb1d723d93d 13
+";
+    assert_eq!(got, want, "log files moved; got:\n{got}");
+}
