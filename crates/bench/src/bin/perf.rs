@@ -17,9 +17,10 @@
 //! 2. the whole set once through the job pool (`--jobs` workers, default
 //!    one per core), for the pooled speedup;
 //! 3. **ingest**: `--ingest-connections` uploaders slam an in-process
-//!    `latlab-serve` on loopback for `--ingest-secs` while a prober times
-//!    queries; the decode → extract → fold pipeline in process, fused vs
-//!    the `TraceReader` reference, and fused on a recorded Word trace;
+//!    `latlab-serve` on loopback for three windows of `--ingest-secs`
+//!    (the median window counts) while a prober times queries; the
+//!    decode → extract → fold pipeline in process, fused vs the
+//!    `TraceReader` reference, and fused on a recorded Word trace;
 //!    then the same slam with the write-ahead log on, a crash, and a
 //!    timed log replay (`--ingest-secs 0` skips phases 3 and 4);
 //! 4. **query**: the incremental query plane against the reference full
@@ -498,6 +499,20 @@ fn slam_config(server: &Server, scenario: &str, secs: u64, connections: usize) -
     }
 }
 
+/// Slam windows per loopback pass. The gated MB/s is their median: one
+/// window on a shared 2-vCPU host can read a third under its neighbours.
+const SLAM_WINDOWS: usize = 3;
+
+/// Runs `SLAM_WINDOWS` slam windows of `cfg` back to back against one
+/// server and returns the report whose MB/s is the median.
+fn median_slam(cfg: &slam::SlamConfig, corpus: &[Vec<u8>]) -> std::io::Result<slam::SlamReport> {
+    let mut runs = (0..SLAM_WINDOWS)
+        .map(|_| slam::run(cfg, corpus))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    runs.sort_by(|a, b| a.mb_per_sec().total_cmp(&b.mb_per_sec()));
+    Ok(runs.swap_remove(SLAM_WINDOWS / 2))
+}
+
 /// In-process throughput (MB/s) of the server-side ingest pipeline —
 /// decode, sample extraction, sketch fold — over `corpus` in 64 KiB
 /// frames, fused or through the `TraceReader` reference fold. No
@@ -524,11 +539,12 @@ fn fold_rate(corpus: &[u8], reference: bool) -> f64 {
 /// reference pipelines on the synthetic corpus and the fused one on a
 /// recorded trace, then the same slam with the WAL on and uploads on the
 /// resumable path, a crash (no drain, no checkpoint) and a timed restart
-/// that replays the log the crash left behind.
+/// that replays the log the crash left behind. Each slam is the median
+/// of `SLAM_WINDOWS` windows of `secs` seconds.
 fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std::io::Result<()> {
     let corpus = vec![latlab_serve::idle_corpus(200_000, 0xbe9c, 64)];
     let server = start_server(None)?;
-    let report = slam::run(
+    let report = median_slam(
         &slam_config(&server, "perf-ingest", secs, connections),
         &corpus,
     )?;
@@ -579,7 +595,7 @@ fn ingest_phase(secs: u64, connections: usize, metrics: &mut Vec<Metric>) -> std
         resume: true,
         ..slam_config(&server, "perf-wal", secs, connections)
     };
-    let report = slam::run(&cfg, &corpus)?;
+    let report = median_slam(&cfg, &corpus)?;
     server.crash();
     let t0 = Instant::now();
     let recovered = start_server(Some(&wal_dir))?;

@@ -10,17 +10,34 @@
 //! **Frame-level sharding:** connection handlers are thin pumps — they
 //! read wire frames and forward them raw (`Msg::Frame`); the shard
 //! worker owns the whole decode → extract → fold pipeline per stream.
-//! That single-writer shape is what makes durability tractable: the
-//! worker appends each accepted frame to its [`ShardWal`] *before*
-//! acknowledging it, so the log's LSN order *is* the fold order, and
-//! recovery (checkpoint + [`replay`]) reproduces the sketch exactly.
+//! That single-folder shape is what makes durability tractable: the
+//! worker hands each accepted frame, in fold order, to the shard's one
+//! log writer, so the log's LSN order *is* the fold order, and recovery
+//! (checkpoint + [`replay`]) reproduces the sketch exactly.
+//!
+//! **Log writer:** with a write-ahead log, each shard runs a second
+//! thread that owns its [`ShardWal`]. The worker keeps decode → fold
+//! and moves each accepted frame's pooled buffer, class, seq and
+//! `StreamId` to the writer over a short bounded queue;
+//! the writer appends, rotates segments and returns the buffer to the
+//! frame pool, so the next frame folds while this one is logged. The
+//! commit point is a flush barrier: at the end of a round with acks or
+//! verdicts to release, the worker asks the writer to flush, waits
+//! until every record it handed over has reached the OS, and only then
+//! releases `OK`/`DONE`/`ERR`. An
+//! append or flush failure surfaces at that barrier and fails the
+//! round. The worker numbers records itself; a checkpoint is a snapshot
+//! of `Arc`-shared sketches and stream states at an LSN, which the
+//! writer flushes behind, encodes, writes and prunes for. A drain waits
+//! for its checkpoint and joins the writer; a crash makes the writer
+//! drop its queue and its buffered bytes unwritten, as `kill -9` would.
 //!
 //! **Resume & dedupe:** resumable streams ([`StreamId::Keyed`]) carry
 //! client-assigned frame sequence numbers. The worker tracks the highest
 //! committed seq per key; frames at or below it are dropped (counted in
 //! [`IngestTotals::dedup_dropped`]) and re-acked, frames beyond
 //! `last + 1` are a protocol error. Acknowledgements are sent only
-//! after the WAL flush that makes the frame durable — an acked sample
+//! after the barrier that makes the frame durable — an acked sample
 //! is a recoverable sample, and a re-sent one is deduped, which together
 //! give exactly-once delivery at the sketch level.
 //!
@@ -49,7 +66,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError,
 };
@@ -219,7 +236,8 @@ pub struct IngestTotals {
     pub dedup_dropped: AtomicU64,
     /// WAL records appended.
     pub wal_records: AtomicU64,
-    /// WAL bytes appended (framed, buffered or flushed).
+    /// WAL bytes appended (framed, buffered or flushed): each record's
+    /// 8-byte length+CRC header plus its whole encoded body.
     pub wal_bytes: AtomicU64,
 }
 
@@ -273,7 +291,7 @@ impl ShardSet {
         for i in 0..n {
             let (tx, rx) = sync_channel(config.queue_depth.max(1));
             let slot = Arc::new(SnapshotSlot::new());
-            let (shard_wal, dir, sketches, streams, epoch) = match wal {
+            let (log, sketches, streams, epoch) = match wal {
                 Some(cfg) => {
                     let dir = cfg.shard_dir(i);
                     let rec = recover_shard(&dir)?;
@@ -289,18 +307,28 @@ impl ShardSet {
                             sketches: rec.sketches.clone(),
                         }));
                     }
-                    (Some(shard_wal), Some(dir), rec.sketches, rec.streams, epoch)
+                    let (writer, log_rx, mut log) = LogWriter::new(
+                        shard_wal,
+                        dir,
+                        frame_pool.clone(),
+                        totals.clone(),
+                        cfg.checkpoint_bytes.max(1),
+                    );
+                    let join = std::thread::Builder::new()
+                        .name(format!("latlab-wal-{i}"))
+                        .spawn(move || writer.run(log_rx))
+                        .expect("spawn log writer");
+                    log.join = Some(join);
+                    (Some(log), rec.sketches, rec.streams, epoch)
                 }
-                None => (None, None, HashMap::new(), HashMap::new(), 0),
+                None => (None, HashMap::new(), HashMap::new(), 0),
             };
             let worker = Worker {
                 slot: slot.clone(),
                 pool: frame_pool.clone(),
                 totals: totals.clone(),
                 publish_every: config.publish_every.max(1),
-                checkpoint_bytes: wal.map_or(u64::MAX, |c| c.checkpoint_bytes.max(1)),
-                dir,
-                wal: shard_wal,
+                log,
                 sketches,
                 streams,
                 epoch,
@@ -512,23 +540,23 @@ fn fold_frame_into(
     .map_err(|e| format!("trace: {e}"))
 }
 
-/// One shard worker: owns the streams, the sketches, and the log.
+/// One shard worker: owns the streams and the sketches, and hands the
+/// log its records.
 struct Worker {
     slot: Arc<SnapshotSlot>,
     pool: BufferPool<u8>,
     totals: Arc<IngestTotals>,
     publish_every: u64,
-    checkpoint_bytes: u64,
-    dir: Option<PathBuf>,
-    wal: Option<ShardWal>,
+    /// The shard's log writer, when a WAL backs the set.
+    log: Option<LogHandle>,
     sketches: HashMap<String, Arc<LatencySketch>>,
     streams: HashMap<StreamId, StreamState>,
     epoch: u64,
     since_publish: u64,
     /// Fused-kernel output scratch, reused across frames.
     excess: Vec<u64>,
-    /// Replies held back until the commit point (WAL flush): `DONE` and
-    /// `ERR` must not outrun durability.
+    /// Replies held back until the commit point (the log barrier):
+    /// `DONE` and `ERR` must not outrun durability.
     replies: Vec<(Sender<Reply>, Reply)>,
 }
 
@@ -549,26 +577,21 @@ impl Worker {
                         }
                     }
                     if verdict == Flow::Crash {
-                        // Simulated kill -9: drop the log without its
-                        // BufWriter flush-on-drop, losing buffered bytes
-                        // exactly as a dead process would.
-                        if let Some(wal) = self.wal.take() {
-                            std::mem::forget(wal);
-                        }
+                        // Simulated kill -9: the writer drops what is
+                        // queued to it and its buffered bytes, exactly as
+                        // a dead process would.
+                        self.stop_log(true);
                         return;
                     }
                     self.commit();
                     if verdict == Flow::Drain {
-                        self.write_checkpoint_now();
+                        self.checkpoint();
                         self.publish();
+                        self.stop_log(false);
                         return;
                     }
-                    if self
-                        .wal
-                        .as_ref()
-                        .is_some_and(|w| w.checkpoint_due(self.checkpoint_bytes))
-                    {
-                        self.write_checkpoint_now();
+                    if self.log.as_ref().is_some_and(|l| l.checkpoint_due) {
+                        self.checkpoint();
                     }
                     if self.since_publish >= self.publish_every {
                         self.publish();
@@ -583,7 +606,8 @@ impl Worker {
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     // The set was dropped without a drain: crash path —
-                    // no checkpoint; recovery owns whatever was flushed.
+                    // no checkpoint; recovery owns whatever was written.
+                    self.stop_log(false);
                     return;
                 }
             }
@@ -698,41 +722,31 @@ impl Worker {
         );
         match folded {
             Ok(samples) => {
-                let class = state.class;
-                let mut failed = None;
-                if let Some(wal) = &mut self.wal {
-                    if let Err(e) = wal.append_frame(&stream, class, seq, &bytes) {
-                        failed = Some(format!("wal append: {e}"));
-                    } else {
-                        self.totals.wal_records.fetch_add(1, Ordering::Relaxed);
-                        self.totals
-                            .wal_bytes
-                            .fetch_add(8 + bytes.len() as u64, Ordering::Relaxed);
-                    }
+                // Committed as of the next barrier; an append failure
+                // surfaces there and fails the round.
+                state.last_seq = seq;
+                if resume {
+                    state.ack_dirty = true;
                 }
-                let state = self.streams.get_mut(&stream).expect("stream exists");
-                if let Some(msg) = failed {
-                    // The fold already happened but the frame is not
-                    // durable; fail the upload instead of acking a
-                    // sample recovery could not reproduce.
-                    state.errored = true;
-                    state.decoder = None;
-                    self.reply_to(&stream, Reply::Err(msg));
-                } else {
-                    state.last_seq = seq;
-                    if resume {
-                        state.ack_dirty = true;
-                    }
-                    self.since_publish += samples;
+                self.since_publish += samples;
+                let class = state.class;
+                match &mut self.log {
+                    Some(log) => log.append(LogMsg::Frame {
+                        stream,
+                        class,
+                        seq,
+                        bytes,
+                    }),
+                    None => self.pool.put(bytes),
                 }
             }
             Err(msg) => {
                 state.errored = true;
                 state.decoder = None;
                 self.reply_to(&stream, Reply::Err(msg));
+                self.pool.put(bytes);
             }
         }
-        self.pool.put(bytes);
     }
 
     fn on_end(&mut self, stream: StreamId, seq: u64) {
@@ -779,22 +793,6 @@ impl Worker {
             .decoder
             .as_ref()
             .map_or((0, 0), |d| (d.records_decoded(), d.bytes_fed()));
-        if let Some(wal) = &mut self.wal {
-            match wal.append_end(&stream, seq) {
-                Ok(_) => {
-                    self.totals.wal_records.fetch_add(1, Ordering::Relaxed);
-                    self.totals.wal_bytes.fetch_add(8 + 32, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    let state = self.streams.get_mut(&stream).expect("stream exists");
-                    state.errored = true;
-                    state.decoder = None;
-                    self.reply_to(&stream, Reply::Err(format!("wal append: {e}")));
-                    return;
-                }
-            }
-        }
-        let state = self.streams.get_mut(&stream).expect("stream exists");
         state.last_seq = seq;
         state.done_records = records;
         state.done_bytes = bytes;
@@ -809,6 +807,9 @@ impl Worker {
             // discards it the same way).
             self.streams.remove(&stream);
         }
+        if let Some(log) = &mut self.log {
+            log.append(LogMsg::End { stream, seq });
+        }
     }
 
     /// Queues a reply for delivery at the next commit point.
@@ -818,23 +819,25 @@ impl Worker {
         }
     }
 
-    /// The commit point: make everything accepted this round durable,
-    /// then release acks and verdicts.
+    /// The commit point: wait until the writer has made everything
+    /// handed to it durable, then release acks and verdicts. A round with
+    /// nothing to release (the middle of a plain upload) waits for
+    /// nothing: durability only has to lead what the worker tells.
     fn commit(&mut self) {
-        if let Some(wal) = &mut self.wal {
-            if let Err(e) = wal.flush() {
-                // Nothing since the last flush is durable: fail every
-                // stream rather than ack what recovery cannot replay.
-                let msg = format!("wal flush: {e}");
-                eprintln!("latlab-serve: {msg}");
-                for state in self.streams.values_mut() {
-                    state.ack_dirty = false;
-                    state.errored = true;
-                    state.decoder = None;
-                }
-                for (_, reply) in self.replies.iter_mut() {
-                    *reply = Reply::Err(msg.clone());
-                }
+        if self.replies.is_empty() && !self.streams.values().any(|s| s.ack_dirty) {
+            return;
+        }
+        if let Some(Err(msg)) = self.log.as_mut().map(LogHandle::barrier) {
+            // Some record since the last barrier is not durable: fail
+            // every stream rather than ack what recovery cannot replay.
+            eprintln!("latlab-serve: {msg}");
+            for state in self.streams.values_mut() {
+                state.ack_dirty = false;
+                state.errored = true;
+                state.decoder = None;
+            }
+            for (_, reply) in self.replies.iter_mut() {
+                *reply = Reply::Err(msg.clone());
             }
         }
         for state in self.streams.values_mut() {
@@ -852,17 +855,14 @@ impl Worker {
         }
     }
 
-    /// Writes a checkpoint covering everything appended so far and
-    /// prunes covered segments. Returns whether it landed.
-    fn write_checkpoint_now(&mut self) -> bool {
-        let Some(wal) = &mut self.wal else {
-            return true;
+    /// Snapshots the shard at the last handed-off LSN and hands it to
+    /// the writer, which encodes, writes and prunes behind the fold.
+    /// Sketches go as `Arc`s — O(scenarios) refcount bumps, like
+    /// [`publish`](Self::publish).
+    fn checkpoint(&mut self) {
+        let Some(log) = &mut self.log else {
+            return;
         };
-        if let Err(e) = wal.flush() {
-            eprintln!("latlab-serve: wal flush before checkpoint: {e}");
-            return false;
-        }
-        let last_lsn = wal.next_lsn() - 1;
         let mut streams = Vec::with_capacity(self.streams.len());
         for (id, state) in &self.streams {
             let decoder = match &state.decoder {
@@ -872,7 +872,7 @@ impl Worker {
                     // A decoder with undrained records should not exist at
                     // a commit boundary; skip this checkpoint round rather
                     // than persist a lie.
-                    None => return false,
+                    None => return,
                 },
             };
             streams.push(StreamCkpt {
@@ -885,24 +885,26 @@ impl Worker {
                 decoder,
             });
         }
-        let ckpt = Checkpoint {
+        let sketches = self
+            .sketches
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        log.checkpoint_due = false;
+        let last_lsn = log.next_lsn - 1;
+        log.send(LogMsg::Checkpoint(CheckpointJob {
             last_lsn,
-            sketches: self
-                .sketches
-                .iter()
-                .map(|(k, v)| (k.clone(), (**v).clone()))
-                .collect(),
+            sketches,
             streams,
-        };
-        let dir = self.dir.as_ref().expect("wal dir set when wal is");
-        if let Err(e) = write_checkpoint(dir, &ckpt) {
-            eprintln!("latlab-serve: checkpoint write: {e}");
-            return false;
+        }));
+    }
+
+    /// Closes the log queue and joins the writer. On a crash the writer
+    /// first drops whatever is queued to it and its buffered bytes.
+    fn stop_log(&mut self, crash: bool) {
+        if let Some(log) = self.log.take() {
+            log.close(crash);
         }
-        if let Err(e) = wal.note_checkpoint(last_lsn) {
-            eprintln!("latlab-serve: segment prune: {e}");
-        }
-        true
     }
 
     /// A publish clones `Arc` pointers only — O(scenarios) refcount
@@ -914,6 +916,266 @@ impl Worker {
             sketches: self.sketches.clone(),
         }));
         self.since_publish = 0;
+    }
+}
+
+/// Records a shard worker may have queued to its log writer: 2 MiB of
+/// 64 KiB frames, enough to keep folding at full speed through a
+/// checkpoint write (~4 ms, some 25 frames of fold) without letting a
+/// stalled writer pin more frame buffers.
+const LOG_QUEUE_DEPTH: usize = 32;
+
+/// What a shard worker hands its log writer.
+enum LogMsg {
+    /// Append an accepted frame, then return its buffer to the pool.
+    Frame {
+        /// Owning stream, moved from the worker's message.
+        stream: StreamId,
+        /// Event class the stream's samples fold under.
+        class: Option<EventClass>,
+        /// Upload sequence number.
+        seq: u64,
+        /// Pooled frame buffer.
+        bytes: Vec<u8>,
+    },
+    /// Append an end-of-upload record.
+    End {
+        /// Owning stream.
+        stream: StreamId,
+        /// Sequence number of the end frame.
+        seq: u64,
+    },
+    /// The commit barrier: flush, then answer with a [`Synced`].
+    Flush,
+    /// Write a checkpoint and prune the segments it covers.
+    Checkpoint(CheckpointJob),
+}
+
+/// A checkpoint as the worker snapshots it: the writer clones the
+/// sketch bodies, off the fold path.
+struct CheckpointJob {
+    last_lsn: u64,
+    sketches: Vec<(String, Arc<LatencySketch>)>,
+    streams: Vec<StreamCkpt>,
+}
+
+/// The writer's answer to a barrier.
+struct Synced {
+    /// LSN the writer's next append will get.
+    next_lsn: u64,
+    /// The first append or flush failure since the previous barrier.
+    error: Option<String>,
+    /// Whether enough bytes were logged since the last checkpoint to
+    /// warrant another (per [`WalConfig::checkpoint_bytes`]).
+    checkpoint_due: bool,
+}
+
+/// A shard worker's end of its log writer.
+struct LogHandle {
+    tx: SyncSender<LogMsg>,
+    synced: Receiver<Synced>,
+    /// Set before a crash closes the queue: the writer then drops what
+    /// is still queued instead of appending it.
+    crashed: Arc<AtomicBool>,
+    join: Option<JoinHandle<()>>,
+    /// LSN the next handed-off record gets: the worker numbers records
+    /// itself and checks the count against the writer's at each barrier.
+    next_lsn: u64,
+    /// `next_lsn` at the last barrier.
+    synced_lsn: u64,
+    /// The writer's verdict at the last barrier.
+    checkpoint_due: bool,
+}
+
+impl LogHandle {
+    /// Hands a record to the writer. A writer that is gone loses the
+    /// record, and the next barrier reports it.
+    fn append(&mut self, msg: LogMsg) {
+        self.next_lsn += 1;
+        self.send(msg);
+    }
+
+    fn send(&self, msg: LogMsg) {
+        // A failed send means the writer exited; the barrier notices.
+        let _ = self.tx.send(msg);
+    }
+
+    /// The flush barrier: returns once every record handed over so far
+    /// has reached the OS, or with the first failure among them. A round
+    /// that handed nothing over has nothing to wait for.
+    fn barrier(&mut self) -> Result<(), String> {
+        if self.next_lsn == self.synced_lsn {
+            return Ok(());
+        }
+        let synced = match self.tx.send(LogMsg::Flush) {
+            Ok(()) => self.synced.recv().ok(),
+            Err(_) => None,
+        };
+        let Some(synced) = synced else {
+            self.synced_lsn = self.next_lsn;
+            return Err("wal: log writer exited".to_owned());
+        };
+        self.checkpoint_due = synced.checkpoint_due;
+        match &synced.error {
+            None => debug_assert_eq!(
+                synced.next_lsn, self.next_lsn,
+                "worker and log writer disagree on the LSN at a barrier"
+            ),
+            // After a failure the writer's count is the log's.
+            Some(_) => self.next_lsn = synced.next_lsn,
+        }
+        self.synced_lsn = self.next_lsn;
+        synced.error.map_or(Ok(()), Err)
+    }
+
+    /// Closes the queue and joins the writer.
+    fn close(mut self, crash: bool) {
+        self.crashed.store(crash, Ordering::SeqCst);
+        let join = self.join.take();
+        drop(self);
+        if join.is_some_and(|j| j.join().is_err()) {
+            eprintln!("latlab-serve: log writer panicked");
+        }
+    }
+}
+
+/// A shard's log writer: owns the [`ShardWal`] and does every append,
+/// rotation, flush and checkpoint write, on its own thread.
+struct LogWriter {
+    wal: ShardWal,
+    dir: PathBuf,
+    pool: BufferPool<u8>,
+    totals: Arc<IngestTotals>,
+    checkpoint_bytes: u64,
+    crashed: Arc<AtomicBool>,
+    synced: SyncSender<Synced>,
+    /// The first append failure since the last barrier.
+    error: Option<String>,
+}
+
+impl LogWriter {
+    /// A writer over `wal` plus the worker's handle on it, joined by a
+    /// queue `LOG_QUEUE_DEPTH` messages deep. The caller runs
+    /// [`run`](Self::run) on a thread and stores its join handle.
+    fn new(
+        wal: ShardWal,
+        dir: PathBuf,
+        pool: BufferPool<u8>,
+        totals: Arc<IngestTotals>,
+        checkpoint_bytes: u64,
+    ) -> (LogWriter, Receiver<LogMsg>, LogHandle) {
+        let (tx, rx) = sync_channel(LOG_QUEUE_DEPTH);
+        let (synced_tx, synced) = sync_channel(1);
+        let crashed = Arc::new(AtomicBool::new(false));
+        let next_lsn = wal.next_lsn();
+        let writer = LogWriter {
+            wal,
+            dir,
+            pool,
+            totals,
+            checkpoint_bytes,
+            crashed: crashed.clone(),
+            synced: synced_tx,
+            error: None,
+        };
+        let handle = LogHandle {
+            tx,
+            synced,
+            crashed,
+            join: None,
+            next_lsn,
+            synced_lsn: next_lsn,
+            checkpoint_due: false,
+        };
+        (writer, rx, handle)
+    }
+
+    fn run(mut self, rx: Receiver<LogMsg>) {
+        while let Ok(msg) = rx.recv() {
+            if self.crashed.load(Ordering::SeqCst) {
+                break;
+            }
+            self.handle(msg);
+        }
+        if self.crashed.load(Ordering::SeqCst) {
+            // Simulated kill -9: drop the log without its BufWriter
+            // flush-on-drop, losing buffered bytes as a dead process would.
+            std::mem::forget(self.wal);
+        } else if let Err(e) = self.wal.flush() {
+            // A drain's last checkpoint opened a fresh segment whose
+            // header is still buffered.
+            eprintln!("latlab-serve: wal flush at exit: {e}");
+        }
+    }
+
+    fn handle(&mut self, msg: LogMsg) {
+        match msg {
+            LogMsg::Frame {
+                stream,
+                class,
+                seq,
+                bytes,
+            } => {
+                self.append(|wal| wal.append_frame(&stream, class, seq, &bytes));
+                self.pool.put(bytes);
+            }
+            LogMsg::End { stream, seq } => self.append(|wal| wal.append_end(&stream, seq)),
+            LogMsg::Flush => {
+                if let Err(e) = self.wal.flush() {
+                    self.error.get_or_insert_with(|| format!("wal flush: {e}"));
+                }
+                let _ = self.synced.send(Synced {
+                    next_lsn: self.wal.next_lsn(),
+                    error: self.error.take(),
+                    checkpoint_due: self.wal.checkpoint_due(self.checkpoint_bytes),
+                });
+            }
+            LogMsg::Checkpoint(job) => self.checkpoint(job),
+        }
+    }
+
+    /// Runs one append and counts what it logged into the totals.
+    fn append(&mut self, op: impl FnOnce(&mut ShardWal) -> io::Result<u64>) {
+        let (records, bytes) = (self.wal.records_appended(), self.wal.bytes_appended());
+        if let Err(e) = op(&mut self.wal) {
+            self.error.get_or_insert_with(|| format!("wal append: {e}"));
+        }
+        self.totals
+            .wal_records
+            .fetch_add(self.wal.records_appended() - records, Ordering::Relaxed);
+        self.totals
+            .wal_bytes
+            .fetch_add(self.wal.bytes_appended() - bytes, Ordering::Relaxed);
+    }
+
+    /// Flushes, writes a checkpoint covering everything up to
+    /// `job.last_lsn` and prunes the segments it covers.
+    fn checkpoint(&mut self, job: CheckpointJob) {
+        if let Err(e) = self.wal.flush() {
+            eprintln!("latlab-serve: wal flush before checkpoint: {e}");
+            return;
+        }
+        debug_assert_eq!(
+            self.wal.next_lsn() - 1,
+            job.last_lsn,
+            "worker and log writer disagree on the checkpoint LSN"
+        );
+        let ckpt = Checkpoint {
+            last_lsn: job.last_lsn,
+            sketches: job
+                .sketches
+                .into_iter()
+                .map(|(k, v)| (k, Arc::unwrap_or_clone(v)))
+                .collect(),
+            streams: job.streams,
+        };
+        if let Err(e) = write_checkpoint(&self.dir, &ckpt) {
+            eprintln!("latlab-serve: checkpoint write: {e}");
+            return;
+        }
+        if let Err(e) = self.wal.note_checkpoint(job.last_lsn) {
+            eprintln!("latlab-serve: segment prune: {e}");
+        }
     }
 }
 
@@ -1190,6 +1452,7 @@ mod tests {
     use super::testkit::*;
     use super::*;
     use crate::slam::idle_corpus;
+    use crate::wal::{encode_end_record, encode_frame_record};
 
     #[test]
     fn routing_is_stable_and_key_sensitive() {
@@ -1689,34 +1952,242 @@ mod tests {
         let corpus = idle_corpus(400_000, 0xa110c, 64);
         let frames = frames_of(&corpus, 64 * 1024);
         assert!(frames.len() > 8, "corpus too small to reach steady state");
+        let tmp = TempDir::new("alloc");
+        let pool: BufferPool<u8> = BufferPool::new();
+        let wal = ShardWal::open(&tmp.0, u64::MAX, 1).unwrap();
+        let (mut writer, log_rx, mut log) =
+            LogWriter::new(wal, tmp.0.clone(), pool.clone(), Arc::default(), u64::MAX);
+        // The writer's own message handler on its own thread, with each
+        // message's allocations counted there.
+        let writer_thread = std::thread::spawn(move || {
+            let mut counts = Vec::with_capacity(256);
+            while let Ok(msg) = log_rx.recv() {
+                let before = alloc_count::on_this_thread();
+                writer.handle(msg);
+                counts.push(alloc_count::on_this_thread() - before);
+            }
+            counts
+        });
+        let stream = keyed("c", "fig5");
+        let class = Some(EventClass::Keystroke);
         let mut decoder = StreamDecoder::new();
         let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
         let mut excess = Vec::new();
-        let mut fold = |frame: &[u8]| {
-            fold_frame_into(
+        // Warm-up: the header, the scenario's first insert, and the
+        // carry, excess and record scratch buffers growing to their
+        // working size.
+        let warm = 4;
+        let mut folded = 0;
+        for (i, frame) in frames.iter().enumerate() {
+            // The connection thread's part, not counted here: a pooled
+            // buffer (the barrier below returned the last one) and the
+            // stream id its message carries.
+            let mut bytes = pool.get();
+            bytes.extend_from_slice(frame);
+            let stream = stream.clone();
+            let before = alloc_count::on_this_thread();
+            folded += fold_frame_into(
                 &mut decoder,
                 &mut sketches,
-                "fig5",
-                Some(EventClass::Keystroke),
+                stream.scenario(),
+                class,
                 &mut excess,
-                frame,
+                &bytes,
             )
-            .unwrap()
-        };
-        // Warm-up: the header, the scenario's first insert, and the
-        // carry and excess buffers growing to their working size.
-        let (warm, steady) = frames.split_at(4);
-        for frame in warm {
-            fold(frame);
-        }
-        let mut folded = 0;
-        for (i, frame) in steady.iter().enumerate() {
-            let before = alloc_count::on_this_thread();
-            folded += fold(frame);
+            .unwrap();
+            let seq = i as u64 + 1;
+            log.append(LogMsg::Frame {
+                stream,
+                class,
+                seq,
+                bytes,
+            });
             let allocs = alloc_count::on_this_thread() - before;
-            assert_eq!(allocs, 0, "steady-state frame {i} allocated {allocs} times");
+            if i >= warm {
+                assert_eq!(
+                    allocs, 0,
+                    "worker: steady frame {i} allocated {allocs} times"
+                );
+            }
+            // Not counted: the first time a thread parks on a channel it
+            // allocates its waker once, and when that first park comes
+            // depends on scheduling.
+            log.barrier().unwrap();
         }
         assert!(folded > 0, "the steady frames folded no samples");
+        log.close(false);
+        let counts = writer_thread.join().unwrap();
+        // Two messages per frame: the append, then the barrier's flush.
+        assert_eq!(counts.len(), 2 * frames.len());
+        for (n, allocs) in counts.iter().enumerate().skip(2 * warm) {
+            assert_eq!(
+                *allocs,
+                0,
+                "writer: steady frame {} allocated {allocs} times",
+                n / 2
+            );
+        }
+    }
+
+    #[test]
+    fn health_wal_bytes_count_every_record_whole() {
+        // `wal_bytes` is the framed byte count: each record's 8-byte
+        // length+CRC header plus its whole body, stream id included, so
+        // a longer scenario name logs more bytes per record.
+        let tmp = TempDir::new("wal-bytes");
+        let corpus = idle_corpus(5_000, 0xb17e, 32);
+        let frames = frames_of(&corpus, 4096);
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        let long = "a-long-scenario-name-".repeat(12);
+        let (mut records, mut bytes) = (0u64, 0u64);
+        let mut body = Vec::new();
+        for scenario in ["s", long.as_str()] {
+            let stream = keyed("c", scenario);
+            let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+            assert!(matches!(
+                upload_tail(&set, 0, &stream, &rx, &frames, 0, 0),
+                Reply::Done { .. }
+            ));
+            for (i, frame) in frames.iter().enumerate() {
+                body.clear();
+                let class = Some(EventClass::Keystroke);
+                encode_frame_record(&stream, class, i as u64 + 1, frame, &mut body);
+                records += 1;
+                bytes += 8 + body.len() as u64;
+            }
+            body.clear();
+            encode_end_record(&stream, frames.len() as u64 + 1, &mut body);
+            records += 1;
+            bytes += 8 + body.len() as u64;
+        }
+        set.drain_and_join();
+        let totals = set.totals();
+        assert_eq!(totals.wal_records.load(Ordering::Relaxed), records);
+        assert_eq!(totals.wal_bytes.load(Ordering::Relaxed), bytes);
+    }
+
+    #[test]
+    fn a_crash_with_frames_queued_to_the_writer_keeps_every_ack() {
+        // Acks never outrun the writer. Frames are sent and the shard
+        // is crashed right behind them, so some are still queued to the
+        // worker or to its writer; a crash drops those. Recovery must
+        // hold every acknowledged frame, and hold exactly the fold of
+        // the prefix it reports as its watermark.
+        let corpus = idle_corpus(40_000, 0x9a7e, 48);
+        let frames = frames_of(&corpus, 4096);
+        for (round, cut) in [frames.len() / 4, frames.len() / 2, frames.len() - 2]
+            .into_iter()
+            .enumerate()
+        {
+            let tmp = TempDir::new(&format!("crash-queued-{round}"));
+            let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+            let stream = keyed("c", "fig5");
+            let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+            let send = |range: std::ops::Range<usize>| {
+                for i in range {
+                    send_retry(
+                        &set,
+                        0,
+                        Msg::Frame {
+                            stream: stream.clone(),
+                            seq: 1 + i as u64,
+                            bytes: frames[i].clone(),
+                        },
+                    );
+                }
+            };
+            send(0..cut);
+            let mut acked = 0u64;
+            while acked < cut as u64 {
+                match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                    Reply::Ack { seq } => acked = seq,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            send(cut..frames.len());
+            set.crash_and_join();
+            for reply in rx.try_iter() {
+                match reply {
+                    Reply::Ack { seq } => acked = acked.max(seq),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+
+            let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+            let (rx, watermark) = begin(&set, 0, &stream, BeginMode::Continue(0));
+            assert!(
+                watermark >= acked,
+                "round {round}: recovered to seq {watermark}, but seq {acked} was acked"
+            );
+            let mut expect_decoder = StreamDecoder::new();
+            let mut expect: HashMap<String, Arc<LatencySketch>> = HashMap::new();
+            let mut excess = Vec::new();
+            for frame in &frames[..watermark as usize] {
+                fold_frame_into(
+                    &mut expect_decoder,
+                    &mut expect,
+                    "fig5",
+                    Some(EventClass::Keystroke),
+                    &mut excess,
+                    frame,
+                )
+                .unwrap();
+            }
+            let (_, merged) = set.merged_full();
+            let (got, expect) = (&merged["fig5"], &expect["fig5"]);
+            assert_eq!(got.total(), expect.total(), "round {round}");
+            let (gc, ec) = (
+                got.class(EventClass::Keystroke),
+                expect.class(EventClass::Keystroke),
+            );
+            assert_eq!(gc.stats().mean(), ec.stats().mean(), "round {round}");
+            assert_eq!(gc.stats().max(), ec.stats().max(), "round {round}");
+
+            // Resuming from the watermark folds the rest exactly once.
+            match upload_tail(&set, 0, &stream, &rx, &frames, 0, watermark as usize) {
+                Reply::Done { records, .. } => assert_eq!(records, 40_000),
+                other => panic!("round {round}: expected Done, got {other:?}"),
+            }
+            set.drain_and_join();
+            let whole = crate::pipeline::fold_corpus(&corpus, 4096, EventClass::Keystroke, false);
+            let (_, merged) = set.merged_full();
+            assert_eq!(
+                merged["fig5"].total(),
+                whole.sketch.total(),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn fifty_drain_restart_cycles_replay_nothing() {
+        // A drain joins the log writer after its checkpoint, so nothing
+        // it buffered (the fresh segment's header included) can race the
+        // restart that follows.
+        let tmp = TempDir::new("drain-50");
+        let corpus = idle_corpus(2_000, 0xd50, 64);
+        let frames = frames_of(&corpus, 1024);
+        let per_upload = crate::pipeline::fold_corpus(&corpus, 1024, EventClass::Keystroke, false)
+            .sketch
+            .total();
+        let mut set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        for round in 0..50u64 {
+            let stream = keyed(&format!("c{round}"), "fig5");
+            let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+            assert!(matches!(
+                upload_tail(&set, 0, &stream, &rx, &frames, 0, 0),
+                Reply::Done { .. }
+            ));
+            set.drain_and_join();
+            set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+            let rec = set.recovery();
+            assert_eq!(rec.checkpoints, 1, "round {round}: {rec:?}");
+            assert_eq!(rec.frames, 0, "round {round}: drain left records: {rec:?}");
+            assert_eq!(rec.torn_tails, 0, "round {round}: {rec:?}");
+            let (_, merged) = set.merged_full();
+            assert_eq!(merged["fig5"].total(), per_upload * (round + 1));
+        }
+        set.drain_and_join();
     }
 
     #[test]
