@@ -321,7 +321,7 @@ fn handle_ingest(
         writeln!(writer, "ERR draining")?;
         return writer.flush();
     }
-    let stream = if header.resume {
+    let stream = Arc::new(if header.resume {
         StreamId::Keyed {
             client: header.client.clone(),
             scenario: header.scenario.clone(),
@@ -331,7 +331,7 @@ fn handle_ingest(
             conn: inner.shards.alloc_conn(),
             scenario: header.scenario.clone(),
         }
-    };
+    });
     let mode = match (header.resume, header.resume_base) {
         (true, Some(base)) => BeginMode::Continue(base),
         _ => BeginMode::Fresh,
@@ -342,7 +342,7 @@ fn handle_ingest(
         inner,
         shard,
         Msg::Begin {
-            stream: stream.clone(),
+            stream: StreamId::clone(&stream),
             class: header.class,
             mode,
             reply: reply_tx,
@@ -383,7 +383,8 @@ fn handle_ingest(
     if !matches!(result, Ok(true)) {
         // The upload did not complete: free the one-shot stream's state.
         // Keyed streams stay — their watermark is what resume is for.
-        if matches!(stream, StreamId::Conn { .. }) {
+        if matches!(*stream, StreamId::Conn { .. }) {
+            let stream = Arc::unwrap_or_clone(stream);
             let _ = inner.shards.send(shard, Msg::Cancel { stream });
         }
     }
@@ -392,8 +393,10 @@ fn handle_ingest(
 
 /// The frame loop: socket → shard queue, with ack relay in between.
 /// `Ok(true)` means the upload completed (`DONE` or duplicate-`DONE`).
+/// Every frame's message shares `stream`, so a frame's trip from the
+/// socket to the log allocates nothing.
 fn pump_frames(
-    stream: &StreamId,
+    stream: &Arc<StreamId>,
     resume: bool,
     shard: usize,
     reader: &mut impl BufRead,
@@ -418,7 +421,7 @@ fn pump_frames(
                     .ingested_bytes
                     .fetch_add(frame.len() as u64, Ordering::Relaxed);
                 let msg = Msg::Frame {
-                    stream: stream.clone(),
+                    stream: Arc::clone(stream),
                     seq,
                     bytes: frame,
                 };
@@ -450,7 +453,7 @@ fn pump_frames(
         inner,
         shard,
         Msg::End {
-            stream: stream.clone(),
+            stream: StreamId::clone(stream),
             seq: end_seq,
         },
         writer,

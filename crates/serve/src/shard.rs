@@ -112,8 +112,9 @@ pub(crate) enum Msg {
     /// One wire frame of trace bytes (buffer from the frame pool; the
     /// worker recycles it).
     Frame {
-        /// Owning stream.
-        stream: StreamId,
+        /// Owning stream: one id per upload, shared by its frames, so
+        /// that forwarding a frame allocates nothing.
+        stream: Arc<StreamId>,
         /// Upload sequence number.
         seq: u64,
         /// Raw frame payload.
@@ -680,9 +681,9 @@ impl Worker {
         });
     }
 
-    fn on_frame(&mut self, stream: StreamId, seq: u64, bytes: Vec<u8>) {
-        let resume = matches!(stream, StreamId::Keyed { .. });
-        let Some(state) = self.streams.get_mut(&stream) else {
+    fn on_frame(&mut self, stream: Arc<StreamId>, seq: u64, bytes: Vec<u8>) {
+        let resume = matches!(*stream, StreamId::Keyed { .. });
+        let Some(state) = self.streams.get_mut(&*stream) else {
             self.pool.put(bytes);
             return;
         };
@@ -930,7 +931,7 @@ enum LogMsg {
     /// Append an accepted frame, then return its buffer to the pool.
     Frame {
         /// Owning stream, moved from the worker's message.
-        stream: StreamId,
+        stream: Arc<StreamId>,
         /// Event class the stream's samples fold under.
         class: Option<EventClass>,
         /// Upload sequence number.
@@ -1412,7 +1413,7 @@ pub(crate) mod testkit {
                 set,
                 shard,
                 Msg::Frame {
-                    stream: stream.clone(),
+                    stream: Arc::new(stream.clone()),
                     seq: base + 1 + i as u64,
                     bytes: frame.clone(),
                 },
@@ -1451,6 +1452,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::*;
     use super::*;
+    use crate::protocol::{read_seq_frame, write_seq_frame};
     use crate::slam::idle_corpus;
     use crate::wal::{encode_end_record, encode_frame_record};
 
@@ -1520,7 +1522,7 @@ mod tests {
             for frame in &frames {
                 seq += 1;
                 let msg = Msg::Frame {
-                    stream: stream.clone(),
+                    stream: Arc::new(stream.clone()),
                     seq,
                     bytes: frame.clone(),
                 };
@@ -1583,7 +1585,7 @@ mod tests {
             &set,
             0,
             Msg::Frame {
-                stream: stream.clone(),
+                stream: Arc::new(stream.clone()),
                 seq: 3, // expected 1
                 bytes: corpus[..512].to_vec(),
             },
@@ -1611,7 +1613,7 @@ mod tests {
                 &set,
                 0,
                 Msg::Frame {
-                    stream: stream.clone(),
+                    stream: Arc::new(stream.clone()),
                     seq: 1 + i as u64,
                     bytes: frame.clone(),
                 },
@@ -1728,7 +1730,7 @@ mod tests {
                 &set,
                 0,
                 Msg::Frame {
-                    stream: stream.clone(),
+                    stream: Arc::new(stream.clone()),
                     seq: 1 + i as u64,
                     bytes: frame.clone(),
                 },
@@ -1841,7 +1843,7 @@ mod tests {
             &set,
             0,
             Msg::Frame {
-                stream: stream.clone(),
+                stream: Arc::new(stream.clone()),
                 seq: 1,
                 bytes: buf,
             },
@@ -1968,8 +1970,17 @@ mod tests {
             }
             counts
         });
-        let stream = keyed("c", "fig5");
+        // One stream id per upload, shared by every frame's message.
+        let stream = Arc::new(keyed("c", "fig5"));
         let class = Some(EventClass::Keystroke);
+        // The upload as the socket carries it, and the shard queue's
+        // channel: bounded, as `ShardSet` makes it.
+        let mut wire = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            write_seq_frame(&mut wire, i as u64 + 1, frame).unwrap();
+        }
+        let mut wire = io::Cursor::new(wire);
+        let (queue_tx, queue_rx) = sync_channel::<Msg>(1);
         let mut decoder = StreamDecoder::new();
         let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
         let mut excess = Vec::new();
@@ -1978,14 +1989,25 @@ mod tests {
         // working size.
         let warm = 4;
         let mut folded = 0;
-        for (i, frame) in frames.iter().enumerate() {
-            // The connection thread's part, not counted here: a pooled
-            // buffer (the barrier below returned the last one) and the
-            // stream id its message carries.
-            let mut bytes = pool.get();
-            bytes.extend_from_slice(frame);
-            let stream = stream.clone();
+        for i in 0..frames.len() {
             let before = alloc_count::on_this_thread();
+            // The connection thread's part: a pooled buffer (the barrier
+            // below returned the last one), the frame read into it, and
+            // its message onto the shard queue.
+            let mut bytes = pool.get();
+            let (seq, more) = read_seq_frame(&mut wire, &mut bytes).unwrap();
+            assert!(more);
+            queue_tx
+                .try_send(Msg::Frame {
+                    stream: Arc::clone(&stream),
+                    seq,
+                    bytes,
+                })
+                .unwrap();
+            // The worker's part: fold the frame, then hand it to the log.
+            let Ok(Msg::Frame { stream, seq, bytes }) = queue_rx.try_recv() else {
+                panic!("the queue lost frame {i}");
+            };
             folded += fold_frame_into(
                 &mut decoder,
                 &mut sketches,
@@ -1995,7 +2017,6 @@ mod tests {
                 &bytes,
             )
             .unwrap();
-            let seq = i as u64 + 1;
             log.append(LogMsg::Frame {
                 stream,
                 class,
@@ -2006,7 +2027,7 @@ mod tests {
             if i >= warm {
                 assert_eq!(
                     allocs, 0,
-                    "worker: steady frame {i} allocated {allocs} times"
+                    "connection and worker: steady frame {i} allocated {allocs} times"
                 );
             }
             // Not counted: the first time a thread parks on a channel it
@@ -2089,7 +2110,7 @@ mod tests {
                         &set,
                         0,
                         Msg::Frame {
-                            stream: stream.clone(),
+                            stream: Arc::new(stream.clone()),
                             seq: 1 + i as u64,
                             bytes: frames[i].clone(),
                         },

@@ -10,9 +10,16 @@
 //! enum or queue bookkeeping: [`decode_stamp_chunk`] expands deltas into
 //! a column of absolute stamps (the columnar path, and the oracle the
 //! fused kernel is tested against), and [`decode_stamp_gaps`] turns
-//! them straight into the latency samples the server folds. All varint
-//! work goes through `crate::varint`; there is no second varint
-//! implementation anywhere in the crate.
+//! them straight into the latency samples the server folds.
+//!
+//! Varints decode in two layers. `crate::varint::decode` is the general
+//! decoder, and the oracle for every error a varint can raise. The stamp
+//! kernels inline the one- to four-byte deltas that make up nearly every
+//! idle trace: `read_delta` per record, and per 64-record block either
+//! the portable `gap_block` or, on x86-64 CPUs with AVX-512 VBMI and
+//! VBMI2, a vector kernel that decodes sixteen records per step. Anything longer,
+//! and any block that holds a zero delta, falls back to the per-record
+//! step and so to `varint::decode`.
 
 use crate::error::TraceError;
 use crate::meta::StreamKind;
@@ -156,12 +163,14 @@ pub fn decode_stamp_chunk(
 /// bytes per record still in the payload decodes under one check for
 /// the whole block (see `gap_block`): its reads are bounded once, and
 /// a zero delta, a varint of five or more bytes, or a block sum that
-/// would overflow the stamp flags it instead of failing. A flagged
-/// block, the tail block and a stream's first stamp take the per-record
-/// step of [`decode_stamp_chunk`] — a flagged block re-walked from its
-/// start — so errors are reported exactly as there. Excesses are staged
-/// in a stack buffer (`Staged`) so that keeping or dropping one is
-/// arithmetic rather than a branch.
+/// would overflow the stamp flags it instead of failing. Such a block
+/// goes to the vector kernel where the CPU runs it, chosen once per
+/// call, and to the portable `gap_block` elsewhere; the two return the
+/// same for every block. A flagged block, the tail block and a stream's
+/// first stamp take the per-record step of [`decode_stamp_chunk`] — a
+/// flagged block re-walked from its start — so errors are reported
+/// exactly as there. Excesses are staged in a stack buffer (`Staged`)
+/// so that keeping or dropping one is arithmetic rather than a branch.
 ///
 /// Returns the payload bytes consumed.
 ///
@@ -181,6 +190,7 @@ pub fn decode_stamp_gaps(
     // As in `decode_stamp_chunk`, the delta state lives in locals and is
     // written back on every exit.
     let (mut prev, mut any, mut n) = (*prev_at, *any_read, *records);
+    let kernel = BlockKernel::detect();
     let result = (|| -> Result<(), TraceError> {
         let mut left = count;
         // The first stamp of a stream has no gap.
@@ -198,7 +208,7 @@ pub fn decode_stamp_gaps(
         while left > 0 {
             if left >= STAGED as u32 {
                 if let Some(win) = payload[pos..].first_chunk::<BLOCK_BYTES>() {
-                    let block = gap_block(win, baseline, &mut staged);
+                    let block = kernel.gap_block(win, baseline, &mut staged);
                     let end = block.and_then(|b| prev.checked_add(b.sum).map(|end| (b, end)));
                     if let Some((block, end)) = end {
                         out.extend_from_slice(&staged[..usize::from(block.kept)]);
@@ -257,7 +267,7 @@ type Staged = [u64; 256];
 
 /// What [`gap_block`] made of one block: its running state while it
 /// decodes, its result after.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct GapBlock {
     /// Payload bytes the block's varints took.
     used: usize,
@@ -266,7 +276,7 @@ struct GapBlock {
     /// The block's deltas summed: the stamp advances by this much.
     sum: u64,
     /// Bit 31 is set when some varint took five or more bytes, or some
-    /// delta was zero.
+    /// delta was zero; the other bits are scratch. Zero in a result.
     flags: u32,
 }
 
@@ -325,7 +335,56 @@ fn gap_block(win: &[u8; BLOCK_BYTES], baseline: u64, staged: &mut Staged) -> Opt
         block.step(win, baseline, staged);
         block.step(win, baseline, staged);
     }
-    (block.flags & 0x8000_0000 == 0).then_some(block)
+    (block.flags & 0x8000_0000 == 0).then_some(GapBlock { flags: 0, ..block })
+}
+
+/// The kernel that takes a block on the once-checked path of
+/// [`decode_stamp_gaps`].
+#[derive(Clone, Copy)]
+enum BlockKernel {
+    /// [`gap_block`]: every target, and the oracle of the vector kernel.
+    Portable,
+    /// The AVX-512 kernel of `vector`, where this CPU runs it.
+    #[cfg(target_arch = "x86_64")]
+    Vector(vector::Vbmi),
+}
+
+impl BlockKernel {
+    /// The vector kernel if this CPU runs it, else the portable one.
+    fn detect() -> BlockKernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(vbmi) = vector::Vbmi::detect() {
+            return BlockKernel::Vector(vbmi);
+        }
+        BlockKernel::Portable
+    }
+
+    /// Decodes one block as [`gap_block`] does. Debug builds decode
+    /// every vector block again with [`gap_block`] and assert that the
+    /// two agree.
+    #[inline(always)]
+    fn gap_block(
+        self,
+        win: &[u8; BLOCK_BYTES],
+        baseline: u64,
+        staged: &mut Staged,
+    ) -> Option<GapBlock> {
+        match self {
+            BlockKernel::Portable => gap_block(win, baseline, staged),
+            #[cfg(target_arch = "x86_64")]
+            BlockKernel::Vector(vbmi) => {
+                let block = vbmi.gap_block(win, baseline, staged);
+                if cfg!(debug_assertions) {
+                    let mut oracle: Staged = [0; 256];
+                    let want = gap_block(win, baseline, &mut oracle);
+                    debug_assert_eq!(block, want, "vector gap kernel disagrees with gap_block");
+                    let kept = block.as_ref().map_or(0, |b| usize::from(b.kept));
+                    debug_assert_eq!(staged[..kept], oracle[..kept], "staged excesses differ");
+                }
+                block
+            }
+        }
+    }
 }
 
 /// The four bytes at `win[at..at + 4]` as a little-endian word, read
@@ -389,6 +448,226 @@ fn advance(prev: u64, any: bool, index: u64, delta: u64) -> Result<u64, TraceErr
     prev.checked_add(delta).ok_or(TraceError::Corrupt {
         what: "timestamp delta overflows 64 bits",
     })
+}
+
+/// The vector block kernel: [`gap_block`]'s contract, sixteen records
+/// per step, on x86-64 CPUs with AVX-512 F, BW, VBMI and VBMI2. It holds
+/// all of the crate's `unsafe` code but the carry-less CRC kernel and
+/// `load_word`.
+///
+/// A block decodes in two passes over its 256-byte window, after the
+/// byte-mask decode of Masked VByte (Plaisance, Kurz and Lemire,
+/// "Vectorized VByte Decoding", 2015). The first lists every record's
+/// last byte, a byte whose top bit is clear: per 64-byte quarter, a
+/// byte compress of the offsets under that mask, appended to one
+/// register with a two-table permute. The second takes sixteen records
+/// at a time: one 64-byte load from the first record's start, one byte
+/// permute that gives each record its own bytes in a 32-bit lane and
+/// zeroes the rest, and a multiply-add pair that packs the 7-bit
+/// groups. Widths over four, zero deltas and fewer than 64 record ends
+/// in the window flag the block, exactly where `gap_block` flags it.
+/// The record ends stay in registers: in a stack array, each group's
+/// reload would span several vector stores, which the store buffer
+/// cannot forward, and the kernel would wait for them to reach the
+/// cache (measured at over a third of its time).
+#[cfg(target_arch = "x86_64")]
+mod vector {
+    use super::{GapBlock, Staged, BLOCK_BYTES, STAGED};
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_add_epi64, _mm512_add_epi8, _mm512_and_si512,
+        _mm512_castsi512_si256, _mm512_cmpge_epu8_mask, _mm512_cmpgt_epu32_mask,
+        _mm512_cmpgt_epu8_mask, _mm512_cmple_epu8_mask, _mm512_cvtepu32_epi64,
+        _mm512_cvtsi512_si32, _mm512_extracti32x4_epi32, _mm512_extracti64x4_epi64,
+        _mm512_loadu_si512, _mm512_madd_epi16, _mm512_maddubs_epi16, _mm512_mask_sub_epi8,
+        _mm512_maskz_compress_epi32, _mm512_maskz_compress_epi8, _mm512_maskz_permutexvar_epi8,
+        _mm512_min_epu32, _mm512_movepi8_mask, _mm512_or_si512, _mm512_permutex2var_epi8,
+        _mm512_permutexvar_epi8, _mm512_reduce_add_epi64, _mm512_set1_epi16, _mm512_set1_epi32,
+        _mm512_set1_epi8, _mm512_set_epi64, _mm512_setr_epi32, _mm512_setzero_si512,
+        _mm512_storeu_si512, _mm512_sub_epi32, _mm512_sub_epi8, _mm512_testn_epi32_mask,
+        _mm_extract_epi8,
+    };
+
+    /// Proof that this CPU runs the kernel: only [`Vbmi::detect`] makes
+    /// one.
+    #[derive(Clone, Copy)]
+    pub(super) struct Vbmi(());
+
+    impl Vbmi {
+        /// A `Vbmi` if this CPU has every feature [`block`] enables.
+        pub(super) fn detect() -> Option<Vbmi> {
+            let ok = is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi")
+                && is_x86_feature_detected!("avx512vbmi2");
+            ok.then_some(Vbmi(()))
+        }
+
+        /// Decodes one block: the same result and staged excesses as
+        /// [`super::gap_block`].
+        #[inline]
+        pub(super) fn gap_block(
+            self,
+            win: &[u8; BLOCK_BYTES],
+            baseline: u64,
+            staged: &mut Staged,
+        ) -> Option<GapBlock> {
+            // SAFETY: `self` exists only where `detect` found every
+            // feature `block` enables.
+            unsafe { block(win, baseline, staged) }
+        }
+    }
+
+    /// The kernel body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512 F, BW, VBMI and VBMI2.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vbmi2")]
+    unsafe fn block(
+        win: &[u8; BLOCK_BYTES],
+        baseline: u64,
+        staged: &mut Staged,
+    ) -> Option<GapBlock> {
+        // Byte `j` of `iota` is `j`.
+        let iota = _mm512_set_epi64(
+            0x3f3e_3d3c_3b3a_3938,
+            0x3736_3534_3332_3130,
+            0x2f2e_2d2c_2b2a_2928,
+            0x2726_2524_2322_2120,
+            0x1f1e_1d1c_1b1a_1918,
+            0x1716_1514_1312_1110,
+            0x0f0e_0d0c_0b0a_0908,
+            0x0706_0504_0302_0100,
+        );
+        let one = _mm512_set1_epi8(1);
+
+        // Pass one: byte `k` of `ends` is the offset in `win` of record
+        // k's last byte, for the first 64 records. Each quarter of the
+        // window packs its record ends and appends them at slot `found`,
+        // held at 64 once the block's records are all found.
+        let mut ends = _mm512_setzero_si512();
+        let mut found = 0usize;
+        for quarter in 0..BLOCK_BYTES / 64 {
+            // SAFETY: `win` holds `BLOCK_BYTES` bytes, and this load
+            // reads 64 of them from `64 * quarter`, which is at most
+            // `BLOCK_BYTES - 64`; `loadu` has no alignment requirement.
+            let bytes = unsafe { _mm512_loadu_si512(win.as_ptr().add(64 * quarter).cast()) };
+            let last = !_mm512_movepi8_mask(bytes);
+            let here = last.count_ones() as usize;
+            let offsets = _mm512_add_epi8(iota, _mm512_set1_epi8((64 * quarter) as i8));
+            let packed = _mm512_maskz_compress_epi8(last, offsets);
+            // Slots from `slot` on take `packed` from its start: index
+            // bit 6 picks the second table.
+            let slot = _mm512_set1_epi8(found.min(STAGED) as i8);
+            let tail = _mm512_cmpge_epu8_mask(iota, slot);
+            let second = _mm512_or_si512(iota, _mm512_set1_epi8(0x40));
+            let index = _mm512_mask_sub_epi8(iota, tail, second, slot);
+            ends = _mm512_permutex2var_epi8(ends, index, packed);
+            found += here;
+        }
+        // Record k starts one byte after record k − 1 ends, record 0 at
+        // the window's start; `spans` holds each record's width less
+        // one. With all 64 ends found the ends rise, so no byte wraps.
+        let starts = _mm512_maskz_permutexvar_epi8(
+            !1,
+            _mm512_sub_epi8(iota, one),
+            _mm512_add_epi8(ends, one),
+        );
+        let spans = _mm512_sub_epi8(ends, starts);
+        let long = _mm512_cmpgt_epu8_mask(spans, _mm512_set1_epi8(3));
+        // The start of each group's first record, a byte each.
+        let heads = _mm512_permutexvar_epi8(_mm512_set1_epi32(0x3020_1000), starts);
+        let heads = _mm512_cvtsi512_si32(heads) as u32;
+
+        // Pass two. A delta of four bytes or fewer is below 2^28, so a
+        // baseline of 2^32 or more keeps nothing; clamped to `u32::MAX`
+        // it compares the same in a 32-bit lane.
+        let floor = _mm512_set1_epi32(baseline.min(u64::from(u32::MAX)) as u32 as i32);
+        // Byte `k` of each 32-bit lane is `k`; lane `i` of `spread`
+        // repeats byte `i` four times.
+        let ramp = _mm512_set1_epi32(0x0302_0100);
+        let spread = _mm512_setr_epi32(
+            0,
+            0x0101_0101,
+            0x0202_0202,
+            0x0303_0303,
+            0x0404_0404,
+            0x0505_0505,
+            0x0606_0606,
+            0x0707_0707,
+            0x0808_0808,
+            0x0909_0909,
+            0x0a0a_0a0a,
+            0x0b0b_0b0b,
+            0x0c0c_0c0c,
+            0x0d0d_0d0d,
+            0x0e0e_0e0e,
+            0x0f0f_0f0f,
+        );
+        // Per lane: the deltas' sum, and the least delta (a zero flags
+        // the block).
+        let mut sums = _mm512_setzero_si512();
+        let mut least = _mm512_set1_epi32(-1);
+        let mut kept = 0usize;
+        for group in 0..STAGED / 16 {
+            // Each lane of the group's sixteen records gets its start
+            // and span in all four bytes.
+            let lanes = _mm512_add_epi8(spread, _mm512_set1_epi8((16 * group) as i8));
+            let start = _mm512_permutexvar_epi8(lanes, starts);
+            let span = _mm512_permutexvar_epi8(lanes, spans);
+            // Sixteen records of at most four bytes lie within 64 bytes
+            // of the first one's start. The load starts there, held
+            // inside the window; where that moves it back, or where a
+            // record is longer, the offsets below wrap in the permute,
+            // which reads only their low six bits, and only in bytes
+            // that the width mask drops or in a flagged block.
+            let from = ((heads >> (8 * group)) as u8 as usize).min(BLOCK_BYTES - 64);
+            // SAFETY: `from + 64 <= BLOCK_BYTES`, the bytes `win` holds.
+            let bytes = unsafe { _mm512_loadu_si512(win.as_ptr().add(from).cast()) };
+            let index = _mm512_add_epi8(_mm512_sub_epi8(start, _mm512_set1_epi8(from as i8)), ramp);
+            // Each record's own bytes in its lane, the rest zero, less
+            // their continuation bits.
+            let own = _mm512_cmple_epu8_mask(ramp, span);
+            let words = _mm512_maskz_permutexvar_epi8(own, index, bytes);
+            let digits = _mm512_and_si512(words, _mm512_set1_epi8(0x7f));
+            // Pack the 7-bit groups: pairs of bytes into 14 bits, then
+            // pairs of those into 28.
+            let pairs = _mm512_maddubs_epi16(_mm512_set1_epi16(0x8001_u16 as i16), digits);
+            let deltas = _mm512_madd_epi16(pairs, _mm512_set1_epi32(0x4000_0001));
+            least = _mm512_min_epu32(least, deltas);
+            sums = _mm512_add_epi32(sums, deltas);
+            // Stage the excesses over the baseline, packed to the front,
+            // widened to 64 bits.
+            let over = _mm512_cmpgt_epu32_mask(deltas, floor);
+            let excess = _mm512_maskz_compress_epi32(over, _mm512_sub_epi32(deltas, floor));
+            let low = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(excess));
+            let high = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(excess));
+            // SAFETY: at most 16 records per earlier group were kept, so
+            // `kept <= 48`, and the stores write `staged[kept..kept + 16]`
+            // of its 256 slots.
+            unsafe {
+                let to = staged.as_mut_ptr().add(kept);
+                _mm512_storeu_si512(to.cast(), low);
+                _mm512_storeu_si512(to.add(8).cast(), high);
+            }
+            kept += over.count_ones() as usize;
+        }
+        if found < STAGED || long != 0 || _mm512_testn_epi32_mask(least, least) != 0 {
+            return None;
+        }
+        // Each lane summed four deltas below 2^28, so none overflowed.
+        let halves = _mm512_add_epi64(
+            _mm512_cvtepu32_epi64(_mm512_castsi512_si256(sums)),
+            _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(sums)),
+        );
+        let used = _mm_extract_epi8::<15>(_mm512_extracti32x4_epi32::<3>(ends)) as usize + 1;
+        Some(GapBlock {
+            used,
+            kept: kept as u8,
+            sum: _mm512_reduce_add_epi64(halves) as u64,
+            flags: 0,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -495,7 +774,8 @@ mod tests {
         (r.map_err(|e| format!("{e:?}")), excess, (prev, any, n))
     }
 
-    /// Asserts the fused kernel matches the oracle exactly; returns the
+    /// Asserts the fused kernel matches the oracle exactly, and the two
+    /// block kernels agree on every window of the payload; returns the
     /// shared outcome.
     fn check(payload: &[u8], count: u32, baseline: u64, state: State) -> GapOutcome {
         let fused = gaps_fused(payload, count, baseline, state);
@@ -504,7 +784,34 @@ mod tests {
             gaps_via_column(payload, count, baseline, state),
             "baseline {baseline}, state {state:?}"
         );
+        for win in payload.windows(BLOCK_BYTES) {
+            kernels_agree(win.try_into().unwrap(), baseline);
+        }
         fused
+    }
+
+    /// Asserts that the vector block kernel returns what `gap_block`
+    /// returns for `win`, and stages the same excesses. False, having
+    /// checked nothing, where this CPU lacks the vector kernel.
+    fn kernels_agree(win: &[u8; BLOCK_BYTES], baseline: u64) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(vbmi) = vector::Vbmi::detect() {
+            // Different fill, so a slot either kernel leaves unwritten
+            // shows.
+            let (mut want_staged, mut got_staged): (Staged, Staged) = ([0; 256], [u64::MAX; 256]);
+            let want = gap_block(win, baseline, &mut want_staged);
+            let got = vbmi.gap_block(win, baseline, &mut got_staged);
+            assert_eq!(got, want, "baseline {baseline}, window {win:?}");
+            let kept = want.map_or(0, |block| usize::from(block.kept));
+            assert_eq!(
+                got_staged[..kept],
+                want_staged[..kept],
+                "baseline {baseline}"
+            );
+            return true;
+        }
+        let _ = (win, baseline);
+        false
     }
 
     fn encode_deltas(deltas: &[u64]) -> Vec<u8> {
@@ -749,5 +1056,79 @@ mod tests {
                 assert!(r.unwrap_err().contains("varint runs past"));
             }
         }
+    }
+
+    #[test]
+    fn vector_and_portable_gap_kernels_agree() {
+        let mut windows: Vec<[u8; BLOCK_BYTES]> = Vec::new();
+        let window =
+            |bytes: &[u8]| -> [u8; BLOCK_BYTES] { bytes[..BLOCK_BYTES].try_into().unwrap() };
+        // Seeded random mixes of one- to six-byte varints; window `k`
+        // draws widths up to `1 + k % 6`, so both kernels' once-checked
+        // path and their flags are exercised.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for k in 0..3_000u64 {
+            let mut bytes = Vec::new();
+            while bytes.len() < BLOCK_BYTES {
+                let width = 1 + next() % (1 + k % 6);
+                let low = if width == 1 {
+                    0
+                } else {
+                    1 << (7 * (width - 1))
+                };
+                varint::encode(low + next() % ((1 << (7 * width)) - low), &mut bytes);
+            }
+            windows.push(window(&bytes));
+        }
+        // A zero delta, and then a five-byte varint, at each of the 64
+        // positions of a block of one- to three-byte deltas.
+        for at in 0..STAGED {
+            for bad in [0, FIVE_BYTES] {
+                let deltas: Vec<u64> = (0..3 * STAGED)
+                    .map(|i| if i == at { bad } else { WIDTHS[i % 3] })
+                    .collect();
+                windows.push(window(&encode_deltas(&deltas)));
+            }
+        }
+        // Sixty-four four-byte varints end exactly at the window's end.
+        let four = encode_deltas(&[(1 << 28) - 1; STAGED]);
+        assert_eq!(four.len(), BLOCK_BYTES);
+        windows.push(window(&four));
+
+        let mut once_checked = 0;
+        for win in &windows {
+            // Baselines below, at and above every delta, at the 32-bit
+            // lane's edge and past it.
+            let first = varint::decode(win, &mut 0).unwrap_or(0);
+            for b in [0, 1, first, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+                if !kernels_agree(win, b) {
+                    println!("skipped: this CPU lacks AVX-512 VBMI or VBMI2, so there is no vector kernel to check");
+                    return;
+                }
+            }
+            once_checked += usize::from(gap_block(win, 0, &mut [0; 256]).is_some());
+        }
+        // Both outcomes are well represented: a third of the random
+        // windows draw widths of at most three bytes.
+        assert!(
+            once_checked > windows.len() / 4,
+            "{once_checked} of {}",
+            windows.len()
+        );
+        assert!(
+            once_checked < windows.len() * 3 / 4,
+            "{once_checked} of {}",
+            windows.len()
+        );
+        assert_eq!(
+            gap_block(&window(&four), 0, &mut [0; 256]).map(|b| b.used),
+            Some(BLOCK_BYTES)
+        );
     }
 }

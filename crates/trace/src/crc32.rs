@@ -95,9 +95,9 @@ fn update_tables(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// The carry-less-multiply kernel. It holds all of the crate's `unsafe`
-/// code but one unchecked load in the fused gap kernel
-/// (`codec::load_word`).
+/// The carry-less-multiply kernel. With the vector gap kernel
+/// (`codec::vector`) and one unchecked load in the portable one
+/// (`codec::load_word`), it holds all of the crate's `unsafe` code.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{

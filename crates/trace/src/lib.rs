@@ -36,7 +36,7 @@
 //! [`TraceError`] on corrupt or truncated data and never panics.
 
 #![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 mod crc32;
