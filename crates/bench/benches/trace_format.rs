@@ -8,11 +8,14 @@
 //! idle corpus: the column path (`feed` + `poll_batch` + a gap walk)
 //! against the fused gap kernel (`feed_gaps`). The fused kernel is also
 //! timed on a recorded trace, Figure 11's NT 3.51 Word session, whose
-//! 1 ms baseline makes its deltas three- and four-byte varints.
+//! 1 ms baseline makes its deltas three- and four-byte varints. The
+//! layer after decode, the sketch fold (`LatencySketch::update_batch`),
+//! is timed over the samples each of those two corpora yields.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use latlab_analysis::{EventClass, LatencySketch};
 use latlab_des::{CpuFreq, SimDuration};
 use latlab_trace::{
     ApiRecord, Record, StreamDecoder, StreamKind, TraceMeta, TraceReader, TraceWriter,
@@ -69,6 +72,21 @@ fn encode_stamps(stamps: &[u64]) -> Vec<u8> {
         w.write(&Record::Stamp(s)).unwrap();
     }
     w.finish().unwrap()
+}
+
+/// The latency samples (ms) the server folds from `corpus`: the fused
+/// kernel's excess cycles, converted as `fold_frame` converts them.
+fn fold_samples(corpus: &[u8]) -> Vec<f64> {
+    let mut d = StreamDecoder::new();
+    let mut excess = Vec::new();
+    for frame in corpus.chunks(FRAME) {
+        d.feed_gaps(frame, &mut excess).unwrap();
+    }
+    let freq = d.meta().unwrap().freq;
+    excess
+        .iter()
+        .map(|&c| freq.to_ms(SimDuration::from_cycles(c)))
+        .collect()
 }
 
 fn bench_trace_format(c: &mut Criterion) {
@@ -166,6 +184,26 @@ fn bench_trace_format(c: &mut Criterion) {
             excess.len()
         })
     });
+
+    // Each corpus's samples fold into one sketch in the server's
+    // 512-sample batches; the sketch carries over between iterations, so
+    // no allocation is timed.
+    for (name, corpus) in [
+        ("sketch_fold_100k", &idle),
+        ("sketch_fold_recorded", &recorded),
+    ] {
+        let samples = fold_samples(corpus);
+        g.throughput(Throughput::Elements(samples.len() as u64));
+        let mut sketch = LatencySketch::new();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                for batch in black_box(&samples).chunks(512) {
+                    sketch.update_batch(EventClass::Keystroke, batch);
+                }
+                sketch.total()
+            })
+        });
+    }
 
     g.finish();
 }

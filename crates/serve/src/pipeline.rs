@@ -179,6 +179,11 @@ mod tests {
             for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
                 assert_eq!(bc.quantile(q), sc.quantile(q), "q{q}");
             }
+            // Every bucket and moment bit, through the checkpoint image.
+            let (mut bi, mut si) = (Vec::new(), Vec::new());
+            b.sketch.encode(&mut bi);
+            s.sketch.encode(&mut si);
+            assert!(bi == si, "fused and reference encode images differ");
         }
     }
 
