@@ -10,7 +10,8 @@
 //! timed on a recorded trace, Figure 11's NT 3.51 Word session, whose
 //! 1 ms baseline makes its deltas three- and four-byte varints. The
 //! layer after decode, the sketch fold (`LatencySketch::update_batch`),
-//! is timed over the samples each of those two corpora yields.
+//! is timed over the samples each of those two corpora yields, and the
+//! CRC-32 over one 64 KiB upload frame.
 
 use std::time::Duration;
 
@@ -185,9 +186,9 @@ fn bench_trace_format(c: &mut Criterion) {
         })
     });
 
-    // Each corpus's samples fold into one sketch in the server's
-    // 512-sample batches; the sketch carries over between iterations, so
-    // no allocation is timed.
+    // Each corpus's samples fold into one sketch in 512-sample batches
+    // (the server folds each frame's samples in one call); the sketch
+    // carries over between iterations, so no allocation is timed.
     for (name, corpus) in [
         ("sketch_fold_100k", &idle),
         ("sketch_fold_recorded", &recorded),
@@ -204,6 +205,14 @@ fn bench_trace_format(c: &mut Criterion) {
             })
         });
     }
+
+    // The CRC every upload frame is checked with, on one cache-hot
+    // 64 KiB frame.
+    let frame: Vec<u8> = idle.iter().copied().cycle().take(FRAME).collect();
+    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.bench_function("crc32_64k", |b| {
+        b.iter(|| latlab_trace::crc32(black_box(&frame)))
+    });
 
     g.finish();
 }

@@ -2,11 +2,12 @@
 //! fold — factored out of the connection handler so it can run over an
 //! in-memory corpus with no sockets attached.
 //!
-//! The server runs the **fused path** (`fold_frame`):
-//! [`StreamDecoder::feed_gaps`] decodes each frame straight to the
-//! excess cycles of over-baseline stamp gaps without storing a stamp,
-//! and the excess folds through [`LatencySketch::update_batch`] a
-//! stack-sized batch at a time.
+//! The server runs the **fused path** (`fold_frame`, or its two halves
+//! on two threads): [`StreamDecoder::feed_gaps`] decodes each frame
+//! straight to the excess cycles of over-baseline stamp gaps without
+//! storing a stamp, each excess becomes one sample in milliseconds
+//! (`decode_samples`), and the frame's samples fold through one
+//! [`LatencySketch::update_batch`].
 //!
 //! [`fold_corpus`] runs that path start-to-finish over a `.ltrc` byte
 //! stream, or runs the **reference fold** the tests hold it to:
@@ -22,8 +23,9 @@ use latlab_trace::{StreamDecoder, StreamKind, TraceError, TraceReader};
 
 /// Decodes one frame through the fused gap kernel and folds its samples
 /// into the sketch `sketch` returns — asked for only when the frame
-/// yielded a sample. `excess` is caller-owned scratch, so a steady-state
-/// frame allocates nothing. Returns the samples folded.
+/// yielded a sample. `excess` and `samples` are caller-owned scratch
+/// ([`decode_samples`]), so a steady-state frame allocates nothing.
+/// Returns the samples folded.
 ///
 /// Uses the same float operations, in the same order, as the reference
 /// fold of [`fold_corpus`] (one [`LatencySketch::push`] per sample), so
@@ -36,25 +38,47 @@ use latlab_trace::{StreamDecoder, StreamKind, TraceError, TraceReader};
 pub(crate) fn fold_frame<'a>(
     decoder: &mut StreamDecoder,
     excess: &mut Vec<u64>,
+    samples: &mut Vec<f64>,
     bytes: &[u8],
     class: EventClass,
     sketch: impl FnOnce() -> &'a mut LatencySketch,
 ) -> Result<u64, TraceError> {
-    excess.clear();
-    decoder.feed_gaps(bytes, excess)?;
-    if excess.is_empty() {
+    decode_samples(decoder, bytes, excess, samples)?;
+    if samples.is_empty() {
         return Ok(0);
     }
-    let freq = decoder.meta().expect("stamp gaps follow a header").freq;
-    let sketch = sketch();
-    let mut ms = [0f64; 512];
-    for cycles in excess.chunks(ms.len()) {
-        for (m, &c) in ms.iter_mut().zip(cycles) {
-            *m = freq.to_ms(SimDuration::from_cycles(c));
-        }
-        sketch.update_batch(class, &ms[..cycles.len()]);
+    sketch().update_batch(class, samples);
+    Ok(samples.len() as u64)
+}
+
+/// Decodes one frame to its latency samples: [`StreamDecoder::feed_gaps`]
+/// into `excess`, then each excess converted to milliseconds of the
+/// trace's clock into `samples`, with the reference fold's float
+/// operations. Both buffers are cleared first. On an error `samples`
+/// stays empty.
+///
+/// # Errors
+///
+/// The decoder's error.
+pub(crate) fn decode_samples(
+    decoder: &mut StreamDecoder,
+    bytes: &[u8],
+    excess: &mut Vec<u64>,
+    samples: &mut Vec<f64>,
+) -> Result<(), TraceError> {
+    excess.clear();
+    samples.clear();
+    decoder.feed_gaps(bytes, excess)?;
+    // Stamp gaps follow a header, so `excess` is empty without one.
+    if let Some(meta) = decoder.meta() {
+        let freq = meta.freq;
+        samples.extend(
+            excess
+                .iter()
+                .map(|&c| freq.to_ms(SimDuration::from_cycles(c))),
+        );
     }
-    Ok(excess.len() as u64)
+    Ok(())
 }
 
 /// What one [`fold_corpus`] pass produced.
@@ -98,11 +122,13 @@ pub fn fold_corpus(
     }
     let mut decoder = StreamDecoder::new();
     let mut sketch = LatencySketch::new();
-    let mut excess: Vec<u64> = Vec::new();
+    let (mut excess, mut ms) = (Vec::new(), Vec::new());
     let mut samples = 0u64;
     for frame in corpus.chunks(frame_len) {
-        samples += fold_frame(&mut decoder, &mut excess, frame, class, || &mut sketch)
-            .expect("valid corpus");
+        samples += fold_frame(&mut decoder, &mut excess, &mut ms, frame, class, || {
+            &mut sketch
+        })
+        .expect("valid corpus");
     }
     assert!(
         decoder.is_clean_boundary(),

@@ -141,26 +141,33 @@ pub fn write_end_frame(w: &mut impl Write) -> io::Result<()> {
     w.write_all(&0u32.to_le_bytes())
 }
 
-/// Reads one frame into `buf` (cleared first). Returns `false` on the
-/// end-of-upload frame, `true` when a payload was read.
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, FrameError> {
+/// Reads one frame into `buf`, which ends up holding exactly the
+/// payload. Returns the payload's CRC-32, checked against the frame's,
+/// or `None` on the end-of-upload frame.
+///
+/// `buf` is overwritten in place: only bytes beyond its current length
+/// are zero-filled before the read, so a pooled buffer that held a
+/// frame of this size costs no fill at all.
+pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Option<u32>, FrameError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
     let stored_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
     if len == 0 {
-        return Ok(false);
+        return Ok(None);
     }
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::TooLarge(len));
     }
-    buf.clear();
-    buf.resize(len, 0);
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    buf.truncate(len);
     r.read_exact(buf)?;
     if crc32(buf) != stored_crc {
         return Err(FrameError::CrcMismatch);
     }
-    Ok(true)
+    Ok(Some(stored_crc))
 }
 
 /// Writes one seq-prefixed framed payload (resumable-upload layout).
@@ -175,15 +182,18 @@ pub fn write_seq_end_frame(w: &mut impl Write, seq: u64) -> io::Result<()> {
     write_end_frame(w)
 }
 
-/// Reads one seq-prefixed frame into `buf` (cleared first). Returns the
-/// frame's sequence number and whether a payload was read (`false` =
-/// end-of-upload frame).
-pub fn read_seq_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(u64, bool), FrameError> {
+/// Reads one seq-prefixed frame into `buf`, as [`read_frame`] does.
+/// Returns the frame's sequence number and the checked payload CRC
+/// (`None` = end-of-upload frame).
+pub fn read_seq_frame(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+) -> Result<(u64, Option<u32>), FrameError> {
     let mut seq = [0u8; 8];
     r.read_exact(&mut seq)?;
     let seq = u64::from_le_bytes(seq);
-    let more = read_frame(r, buf)?;
-    Ok((seq, more))
+    let crc = read_frame(r, buf)?;
+    Ok((seq, crc))
 }
 
 /// Reads one `\n`-terminated line of at most `max` bytes, terminator
@@ -391,11 +401,33 @@ mod tests {
         write_end_frame(&mut wire).unwrap();
         let mut r = &wire[..];
         let mut buf = Vec::new();
-        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut r, &mut buf).unwrap(), Some(crc32(b"hello")));
         assert_eq!(buf, b"hello");
-        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(
+            read_frame(&mut r, &mut buf).unwrap(),
+            Some(crc32(&[0u8; 1000]))
+        );
         assert_eq!(buf.len(), 1000);
-        assert!(!read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(read_frame(&mut r, &mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn a_reused_buffer_holds_exactly_each_payload() {
+        // Pooled buffers come back holding their last frame: a shorter
+        // frame must not keep the longer one's tail, and a longer one
+        // must be read whole.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[7u8; 300]).unwrap();
+        write_frame(&mut wire, b"short").unwrap();
+        write_frame(&mut wire, &[9u8; 400]).unwrap();
+        let mut r = &wire[..];
+        let mut buf = vec![1u8; 1000];
+        read_frame(&mut r, &mut buf).unwrap();
+        assert_eq!(buf, [7u8; 300]);
+        read_frame(&mut r, &mut buf).unwrap();
+        assert_eq!(buf, b"short");
+        read_frame(&mut r, &mut buf).unwrap();
+        assert_eq!(buf, [9u8; 400]);
     }
 
     #[test]
@@ -424,7 +456,7 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         let mut buf = Vec::new();
-        assert!(read_frame(&mut &wire[..], &mut buf).unwrap());
+        assert!(read_frame(&mut &wire[..], &mut buf).unwrap().is_some());
         // Bits 32..64 are the CRC field. The payload stride of 61 bytes
         // plus one bit also rotates through the bit positions.
         let last = wire.len() * 8 - 1;
@@ -528,11 +560,17 @@ mod tests {
         write_seq_end_frame(&mut wire, 9).unwrap();
         let mut r = &wire[..];
         let mut buf = Vec::new();
-        assert_eq!(read_seq_frame(&mut r, &mut buf).unwrap(), (7, true));
+        assert_eq!(
+            read_seq_frame(&mut r, &mut buf).unwrap(),
+            (7, Some(crc32(b"hello")))
+        );
         assert_eq!(buf, b"hello");
-        assert_eq!(read_seq_frame(&mut r, &mut buf).unwrap(), (8, true));
+        assert_eq!(
+            read_seq_frame(&mut r, &mut buf).unwrap(),
+            (8, Some(crc32(&[3u8; 500])))
+        );
         assert_eq!(buf.len(), 500);
-        assert_eq!(read_seq_frame(&mut r, &mut buf).unwrap(), (9, false));
+        assert_eq!(read_seq_frame(&mut r, &mut buf).unwrap(), (9, None));
     }
 
     #[test]

@@ -558,6 +558,55 @@ mod tests {
     }
 
     #[test]
+    fn a_query_never_blocks_ingest() {
+        // A query holds the plane's mutex while it refreshes, and a
+        // shard's slot lock while it clones the published snapshot. Held
+        // for a whole upload, neither may stall it: the upload still
+        // ends in `DONE`, and the shard publishes what it folded once
+        // they are released. Without and with a WAL (the log stage
+        // inline on the worker, then on its own thread).
+        let corpus = idle_corpus(20_000, 0x9b10, 32);
+        let frames = frames_of(&corpus, 4096);
+        let expect = crate::pipeline::fold_corpus(&corpus, 4096, EventClass::Keystroke, false);
+        let tmp = TempDir::new("query-blocks");
+        for wal in [None, Some(tmp.wal())] {
+            let config = ShardConfig {
+                shards: 1,
+                queue_depth: 64,
+                // Every folded frame tries to publish.
+                publish_every: 1,
+            };
+            let set = ShardSet::start(&config, wal.as_ref()).unwrap();
+            let plane = QueryPlane::new();
+            let stream = keyed("c", "q");
+            let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+            let epoch = set.snapshots()[0].epoch;
+            {
+                let _plane = plane.state.lock().unwrap();
+                let _slot = hold_slot(&set, 0);
+                let verdict = upload_tail(&set, 0, &stream, &rx, &frames, 0, 0);
+                assert!(
+                    matches!(
+                        verdict,
+                        Reply::Done {
+                            records: 20_000,
+                            ..
+                        }
+                    ),
+                    "wal {}: {verdict:?}",
+                    wal.is_some()
+                );
+            }
+            // Every publish the upload tried was put off; the shard's
+            // next idle moment publishes all of it.
+            let snap = wait_for_epoch(&set, 0, epoch + 1);
+            assert_eq!(snap.sketches["q"].total(), expect.samples);
+            assert_eq!(plane.refresh_from(&set).total(), expect.samples);
+            set.drain_and_join();
+        }
+    }
+
+    #[test]
     fn refresh_matches_full_merge_on_synthetic_snapshots() {
         let plane = QueryPlane::new();
         let snaps = vec![

@@ -411,10 +411,10 @@ fn pump_frames(
         let read = if resume {
             read_seq_frame(reader, &mut frame)
         } else {
-            read_frame(reader, &mut frame).map(|more| (auto_seq + 1, more))
+            read_frame(reader, &mut frame).map(|crc| (auto_seq + 1, crc))
         };
         match read {
-            Ok((seq, true)) => {
+            Ok((seq, Some(crc))) => {
                 auto_seq = seq;
                 inner
                     .stats
@@ -424,6 +424,7 @@ fn pump_frames(
                     stream: Arc::clone(stream),
                     seq,
                     bytes: frame,
+                    crc,
                 };
                 if !offer(inner, shard, msg, writer)? {
                     return Ok(false);
@@ -432,7 +433,7 @@ fn pump_frames(
                     return Ok(false);
                 }
             }
-            Ok((seq, false)) => {
+            Ok((seq, None)) => {
                 inner.shards.frame_pool().put(frame);
                 end_seq = if resume { seq } else { auto_seq + 1 };
                 break;
@@ -590,6 +591,8 @@ fn handle_queries(
     writer: &mut impl Write,
     inner: &Arc<Inner>,
 ) -> io::Result<()> {
+    // The buffer comes back holding its last connection's reply; the
+    // loop clears it before each one.
     let mut buf = inner.reply_pool.get();
     let result = query_loop(first, reader, writer, inner, &mut buf);
     inner.reply_pool.put(buf);

@@ -1,36 +1,44 @@
 //! Sharded ingest workers and epoch-swapped read snapshots.
 //!
-//! Ingestion is partitioned across N worker threads by a stable hash of
-//! the `(client, scenario)` key, so one chatty client cannot serialize
-//! the whole service and all frames of one stream land on one shard
+//! Ingestion is partitioned across N shards by a stable hash of the
+//! `(client, scenario)` key, so one chatty client cannot serialize the
+//! whole service and all frames of one stream land on one shard
 //! (keeping per-stream decode and fold order deterministic). Each shard
 //! owns its streams and sketches exclusively — no locks on the fold
 //! path.
 //!
 //! **Frame-level sharding:** connection handlers are thin pumps — they
-//! read wire frames and forward them raw (`Msg::Frame`); the shard
-//! worker owns the whole decode → extract → fold pipeline per stream.
-//! That single-folder shape is what makes durability tractable: the
-//! worker hands each accepted frame, in fold order, to the shard's one
-//! log writer, so the log's LSN order *is* the fold order, and recovery
-//! (checkpoint + [`replay`]) reproduces the sketch exactly.
+//! read wire frames, check their CRC and forward them raw
+//! (`Msg::Frame`, with that CRC). Each shard then runs two stages in
+//! order. The shard **worker** owns everything per stream: the seq
+//! watermark and dedupe, the stream's `StreamDecoder`, the replies and
+//! the stream states a checkpoint records. It decodes each accepted
+//! frame to its latency samples (`feed_gaps`, then each excess in
+//! milliseconds, into a pooled `Vec<f64>`) and hands the frame, its
+//! samples and its wire CRC to the shard's **log stage**. The log stage
+//! owns the sketches: it appends each frame to the log, folds its
+//! samples and publishes, all in the order the worker handed them over. The log's LSN order therefore *is* the fold
+//! order by construction, and recovery (checkpoint + [`replay`], through
+//! the same decode and fold helpers) reproduces the sketch exactly.
 //!
-//! **Log writer:** with a write-ahead log, each shard runs a second
-//! thread that owns its [`ShardWal`]. The worker keeps decode → fold
-//! and moves each accepted frame's pooled buffer, class, seq and
-//! `StreamId` to the writer over a short bounded queue;
-//! the writer appends, rotates segments and returns the buffer to the
-//! frame pool, so the next frame folds while this one is logged. The
-//! commit point is a flush barrier: at the end of a round with acks or
-//! verdicts to release, the worker asks the writer to flush, waits
-//! until every record it handed over has reached the OS, and only then
-//! releases `OK`/`DONE`/`ERR`. An
-//! append or flush failure surfaces at that barrier and fails the
-//! round. The worker numbers records itself; a checkpoint is a snapshot
-//! of `Arc`-shared sketches and stream states at an LSN, which the
-//! writer flushes behind, encodes, writes and prunes for. A drain waits
-//! for its checkpoint and joins the writer; a crash makes the writer
-//! drop its queue and its buffered bytes unwritten, as `kill -9` would.
+//! **Log stage:** with a write-ahead log, the log stage runs on a second
+//! thread per shard and owns its [`ShardWal`]; the worker reaches it
+//! over a short bounded queue, so the next frame decodes while this one
+//! is logged and folded. Each frame record is appended with its CRC
+//! combined from the record prefix's and the wire's
+//! ([`latlab_trace::crc32_combine`]), the payload written straight from
+//! the pooled frame buffer. The commit point is a flush barrier: at the
+//! end of a round with acks or verdicts to release, the worker asks the
+//! stage to flush, waits until every record it handed over has been
+//! folded and has reached the OS, and only then releases
+//! `OK`/`DONE`/`ERR`. An append or flush failure surfaces at that
+//! barrier and fails the round. The worker numbers records itself; a
+//! checkpoint is the worker's stream states at an LSN, queued behind the
+//! frames it covers, and the stage encodes its own sketches into it when
+//! it reaches it. A drain waits for its checkpoint and joins the stage;
+//! a crash makes the stage drop its queue and its buffered bytes
+//! unwritten, as `kill -9` would. Without a WAL the worker drives the
+//! same stage inline, so there is one fold site and one publish site.
 //!
 //! **Resume & dedupe:** resumable streams ([`StreamId::Keyed`]) carry
 //! client-assigned frame sequence numbers. The worker tracks the highest
@@ -47,13 +55,15 @@
 //! — shedding load visibly is the contract (the paper's concern: a
 //! measurement system must not silently distort what it measures).
 //!
-//! **Read path:** shards periodically publish an immutable
-//! [`ShardSnapshot`] behind an `Arc` into their [`SnapshotSlot`]; the
-//! swap is a pointer store under a briefly-held lock. Queries clone the
-//! current `Arc`s and merge sketches on their own thread, so a query
-//! never touches shard-internal state and never blocks ingest. Snapshot
-//! *epochs* increase with every publish; published per-scenario counts
-//! are monotone non-decreasing, which makes concurrent `SNAPSHOT` reads
+//! **Read path:** the log stage periodically publishes an immutable
+//! [`ShardSnapshot`] behind an `Arc` into its shard's [`SnapshotSlot`];
+//! the swap is a pointer store under a briefly-held lock, and a publish
+//! that finds a reader holding the lock is put off to the next frame or
+//! idle moment rather than wait. Queries clone the current `Arc`s and
+//! merge sketches on their own thread, so a query never touches
+//! shard-internal state and never blocks ingest. Snapshot *epochs*
+//! increase with every publish; published per-scenario counts are
+//! monotone non-decreasing, which makes concurrent `SNAPSHOT` reads
 //! internally consistent.
 //!
 //! **Copy-on-write publish:** each scenario's sketch lives behind its own
@@ -70,18 +80,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError,
 };
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
 use latlab_trace::{BufferPool, StreamDecoder};
 
-use crate::pipeline::fold_frame;
+use crate::pipeline::decode_samples;
 use crate::wal::{
-    load_checkpoint, replay, write_checkpoint, Checkpoint, RecoveryStats, ShardWal, StreamCkpt,
-    StreamId, WalConfig, WalRecord,
+    load_checkpoint, replay, write_checkpoint_parts, RecoveryStats, ShardWal, StreamCkpt, StreamId,
+    WalConfig, WalRecord,
 };
+
+/// How long a shard stage waits for work before it publishes what it
+/// folded since the last publish, so queries converge without traffic.
+const IDLE_PUBLISH: Duration = Duration::from_millis(50);
 
 /// How a [`Msg::Begin`] opens its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +124,7 @@ pub(crate) enum Msg {
         reply: Sender<Reply>,
     },
     /// One wire frame of trace bytes (buffer from the frame pool; the
-    /// worker recycles it).
+    /// shard recycles it).
     Frame {
         /// Owning stream: one id per upload, shared by its frames, so
         /// that forwarding a frame allocates nothing.
@@ -119,6 +133,8 @@ pub(crate) enum Msg {
         seq: u64,
         /// Raw frame payload.
         bytes: Vec<u8>,
+        /// CRC-32 of `bytes`, as checked against the wire frame's.
+        crc: u32,
     },
     /// End-of-upload marker.
     End {
@@ -172,8 +188,8 @@ pub struct ShardSnapshot {
     pub epoch: u64,
     /// Per-scenario sketches as of this epoch. Bodies are shared
     /// copy-on-write with the shard's working state: publishing clones
-    /// the `Arc`s, and the worker detaches (clones) a scenario's sketch
-    /// only on its first fold after the publish.
+    /// the `Arc`s, and the log stage detaches (clones) a scenario's
+    /// sketch only on its first fold after the publish.
     pub sketches: HashMap<String, Arc<LatencySketch>>,
 }
 
@@ -201,15 +217,29 @@ impl SnapshotSlot {
         self.0.read().expect("snapshot lock poisoned").clone()
     }
 
-    fn store(&self, snap: Arc<ShardSnapshot>) {
-        *self.0.write().expect("snapshot lock poisoned") = snap;
+    /// Replaces the published snapshot. With `wait` false, a lock held
+    /// by a reader leaves the slot as it is and returns `false` instead
+    /// of blocking. The outgoing snapshot is dropped after the lock is
+    /// released.
+    fn store(&self, snap: Arc<ShardSnapshot>, wait: bool) -> bool {
+        let mut guard = match self.0.try_write() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) if !wait => return false,
+            Err(TryLockError::WouldBlock) => self.0.write().expect("snapshot lock poisoned"),
+            Err(TryLockError::Poisoned(_)) => panic!("snapshot lock poisoned"),
+        };
+        let old = std::mem::replace(&mut *guard, snap);
+        drop(guard);
+        drop(old);
+        true
     }
 }
 
 /// Configuration for the shard pool.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Worker thread count (≥ 1).
+    /// Shard count (≥ 1): one worker thread each, plus a log-stage
+    /// thread each when a WAL backs the set.
     pub shards: usize,
     /// Bounded queue depth per shard, in messages (≈ frames).
     pub queue_depth: usize,
@@ -229,8 +259,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// Ingest-wide counters the shard workers maintain (surfaced by
-/// `HEALTH`).
+/// Ingest-wide counters the shards maintain (surfaced by `HEALTH`).
 #[derive(Debug, Default)]
 pub struct IngestTotals {
     /// Duplicate frames dropped by the per-stream seq watermark.
@@ -248,12 +277,12 @@ struct ShardHandle {
     slot: Arc<SnapshotSlot>,
 }
 
-/// The set of shard workers.
+/// The set of shards.
 pub struct ShardSet {
     shards: Vec<ShardHandle>,
     joins: Mutex<Vec<JoinHandle<()>>>,
     /// Recycles frame buffers: producers `get` one to fill from the
-    /// socket, workers `put` it back once folded (and logged).
+    /// socket, the shard `put`s it back once logged (or dropped).
     frame_pool: BufferPool<u8>,
     totals: Arc<IngestTotals>,
     recovery: RecoveryStats,
@@ -271,11 +300,11 @@ pub enum IngestRejection {
 }
 
 impl ShardSet {
-    /// Spawns the worker threads. With a [`WalConfig`], each shard first
+    /// Spawns the shard threads. With a [`WalConfig`], each shard first
     /// **recovers** — loads its newest valid checkpoint and replays the
-    /// log tail through the ingest fold — before any worker accepts
-    /// traffic; recovered snapshots are published immediately, so this
-    /// returns with the pre-crash state fully visible.
+    /// log tail through the ingest decode and fold — before any worker
+    /// accepts traffic; recovered snapshots are published immediately,
+    /// so this returns with the pre-crash state fully visible.
     ///
     /// # Errors
     ///
@@ -284,6 +313,7 @@ impl ShardSet {
     pub fn start(config: &ShardConfig, wal: Option<&WalConfig>) -> io::Result<ShardSet> {
         let n = config.shards.max(1);
         let frame_pool: BufferPool<u8> = BufferPool::new();
+        let samples_pool: BufferPool<f64> = BufferPool::new();
         let totals = Arc::new(IngestTotals::default());
         let mut shards = Vec::with_capacity(n);
         let mut joins = Vec::with_capacity(n);
@@ -292,7 +322,13 @@ impl ShardSet {
         for i in 0..n {
             let (tx, rx) = sync_channel(config.queue_depth.max(1));
             let slot = Arc::new(SnapshotSlot::new());
-            let (log, sketches, streams, epoch) = match wal {
+            let mut stage = LogStage::new(
+                slot.clone(),
+                config.publish_every.max(1),
+                frame_pool.clone(),
+                samples_pool.clone(),
+            );
+            let (log, streams) = match wal {
                 Some(cfg) => {
                     let dir = cfg.shard_dir(i);
                     let rec = recover_shard(&dir)?;
@@ -301,40 +337,28 @@ impl ShardSet {
                     let shard_wal = ShardWal::open(&dir, cfg.segment_bytes, rec.next_lsn)?;
                     // Publish what recovery rebuilt before any ingest, so
                     // queries see the pre-crash state from the first epoch.
-                    let epoch = u64::from(!rec.sketches.is_empty());
-                    if epoch > 0 {
-                        slot.store(Arc::new(ShardSnapshot {
-                            epoch,
-                            sketches: rec.sketches.clone(),
-                        }));
+                    stage.sketches = rec.sketches;
+                    if !stage.sketches.is_empty() {
+                        stage.publish(true);
                     }
-                    let (writer, log_rx, mut log) = LogWriter::new(
-                        shard_wal,
-                        dir,
-                        frame_pool.clone(),
-                        totals.clone(),
-                        cfg.checkpoint_bytes.max(1),
-                    );
+                    let (stage, log_rx, mut handle) =
+                        stage.with_wal(shard_wal, dir, cfg.checkpoint_bytes.max(1), totals.clone());
                     let join = std::thread::Builder::new()
                         .name(format!("latlab-wal-{i}"))
-                        .spawn(move || writer.run(log_rx))
-                        .expect("spawn log writer");
-                    log.join = Some(join);
-                    (Some(log), rec.sketches, rec.streams, epoch)
+                        .spawn(move || stage.run(log_rx))
+                        .expect("spawn log stage");
+                    handle.join = Some(join);
+                    (Log::Thread(handle), rec.streams)
                 }
-                None => (None, HashMap::new(), HashMap::new(), 0),
+                None => (Log::Inline(Box::new(stage)), HashMap::new()),
             };
             let worker = Worker {
-                slot: slot.clone(),
                 pool: frame_pool.clone(),
-                totals: totals.clone(),
-                publish_every: config.publish_every.max(1),
-                log,
-                sketches,
-                streams,
-                epoch,
-                since_publish: 0,
+                samples_pool: samples_pool.clone(),
                 excess: Vec::new(),
+                totals: totals.clone(),
+                log,
+                streams,
                 replies: Vec::new(),
             };
             let join = std::thread::Builder::new()
@@ -356,7 +380,7 @@ impl ShardSet {
     }
 
     /// The shared frame-buffer pool. Producers take a buffer here to
-    /// read a wire frame into; the folding worker returns it.
+    /// read a wire frame into; the shard returns it.
     pub fn frame_pool(&self) -> &BufferPool<u8> {
         &self.frame_pool
     }
@@ -469,7 +493,7 @@ impl ShardSet {
         }
     }
 
-    /// Fault-injection hook: kill every worker as `kill -9` would — no
+    /// Fault-injection hook: kill every shard as `kill -9` would — no
     /// final flush, no checkpoint; WAL bytes still buffered in user
     /// space are deliberately lost. The chaos tests use this to prove
     /// that recovery rebuilds exactly the acknowledged state.
@@ -520,42 +544,51 @@ impl StreamState {
     }
 }
 
-/// Decode one frame into samples and fold them — the single pipeline
-/// both live ingest and WAL replay run. The scenario's key is allocated
-/// only on its first sample, never per frame.
-fn fold_frame_into(
+/// Decodes one frame to its latency samples (milliseconds), into
+/// `samples` through the `excess` scratch — the decode step live ingest
+/// (on the worker) and WAL replay both run.
+fn decode_frame(
     decoder: &mut StreamDecoder,
+    bytes: &[u8],
+    excess: &mut Vec<u64>,
+    samples: &mut Vec<f64>,
+) -> Result<(), String> {
+    decode_samples(decoder, bytes, excess, samples).map_err(|e| format!("trace: {e}"))
+}
+
+/// Folds one decoded frame's samples into its scenario's sketch — the
+/// fold live ingest (on the log stage) and WAL replay both run. The
+/// scenario's key is allocated only on its first sample, never per
+/// frame. Returns the samples folded.
+fn fold_into(
     sketches: &mut HashMap<String, Arc<LatencySketch>>,
     scenario: &str,
     class: Option<EventClass>,
-    excess: &mut Vec<u64>,
-    bytes: &[u8],
-) -> Result<u64, String> {
-    let class = class.unwrap_or(EventClass::Background);
-    fold_frame(decoder, excess, bytes, class, || {
-        if !sketches.contains_key(scenario) {
-            sketches.insert(scenario.to_owned(), Arc::default());
-        }
-        Arc::make_mut(sketches.get_mut(scenario).expect("inserted above"))
-    })
-    .map_err(|e| format!("trace: {e}"))
+    samples: &[f64],
+) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    if !sketches.contains_key(scenario) {
+        sketches.insert(scenario.to_owned(), Arc::default());
+    }
+    let sketch = Arc::make_mut(sketches.get_mut(scenario).expect("inserted above"));
+    sketch.update_batch(class.unwrap_or(EventClass::Background), samples);
+    samples.len() as u64
 }
 
-/// One shard worker: owns the streams and the sketches, and hands the
-/// log its records.
+/// One shard worker: owns the streams and their decoders, and hands its
+/// log stage every accepted frame, decoded, in order.
 struct Worker {
-    slot: Arc<SnapshotSlot>,
     pool: BufferPool<u8>,
-    totals: Arc<IngestTotals>,
-    publish_every: u64,
-    /// The shard's log writer, when a WAL backs the set.
-    log: Option<LogHandle>,
-    sketches: HashMap<String, Arc<LatencySketch>>,
-    streams: HashMap<StreamId, StreamState>,
-    epoch: u64,
-    since_publish: u64,
-    /// Fused-kernel output scratch, reused across frames.
+    /// Recycles the sample buffers frames are decoded into; the log
+    /// stage returns each once folded.
+    samples_pool: BufferPool<f64>,
+    /// The gap kernel's excess cycles, reused across frames.
     excess: Vec<u64>,
+    totals: Arc<IngestTotals>,
+    log: Log,
+    streams: HashMap<StreamId, StreamState>,
     /// Replies held back until the commit point (the log barrier):
     /// `DONE` and `ERR` must not outrun durability.
     replies: Vec<(Sender<Reply>, Reply)>,
@@ -564,7 +597,7 @@ struct Worker {
 impl Worker {
     fn run(mut self, rx: Receiver<Msg>) {
         loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
+            match rx.recv_timeout(IDLE_PUBLISH) {
                 Ok(msg) => {
                     let mut verdict = self.handle(msg);
                     while verdict == Flow::Continue {
@@ -578,37 +611,27 @@ impl Worker {
                         }
                     }
                     if verdict == Flow::Crash {
-                        // Simulated kill -9: the writer drops what is
+                        // Simulated kill -9: the log stage drops what is
                         // queued to it and its buffered bytes, exactly as
                         // a dead process would.
-                        self.stop_log(true);
+                        self.log.close(true);
                         return;
                     }
                     self.commit();
                     if verdict == Flow::Drain {
                         self.checkpoint();
-                        self.publish();
-                        self.stop_log(false);
+                        self.log.close(false);
                         return;
                     }
-                    if self.log.as_ref().is_some_and(|l| l.checkpoint_due) {
+                    if self.log.checkpoint_due() {
                         self.checkpoint();
                     }
-                    if self.since_publish >= self.publish_every {
-                        self.publish();
-                    }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Idle moment: surface anything folded since the last
-                    // publish so queries converge without traffic.
-                    if self.since_publish > 0 {
-                        self.publish();
-                    }
-                }
+                Err(RecvTimeoutError::Timeout) => self.log.idle(),
                 Err(RecvTimeoutError::Disconnected) => {
                     // The set was dropped without a drain: crash path —
                     // no checkpoint; recovery owns whatever was written.
-                    self.stop_log(false);
+                    self.log.close(false);
                     return;
                 }
             }
@@ -623,7 +646,12 @@ impl Worker {
                 mode,
                 reply,
             } => self.on_begin(stream, class, mode, reply),
-            Msg::Frame { stream, seq, bytes } => self.on_frame(stream, seq, bytes),
+            Msg::Frame {
+                stream,
+                seq,
+                bytes,
+                crc,
+            } => self.on_frame(stream, seq, bytes, crc),
             Msg::End { stream, seq } => self.on_end(stream, seq),
             Msg::Cancel { stream } => {
                 // Only one-shot streams die with their connection;
@@ -681,7 +709,7 @@ impl Worker {
         });
     }
 
-    fn on_frame(&mut self, stream: Arc<StreamId>, seq: u64, bytes: Vec<u8>) {
+    fn on_frame(&mut self, stream: Arc<StreamId>, seq: u64, bytes: Vec<u8>, crc: u32) {
         let resume = matches!(*stream, StreamId::Keyed { .. });
         let Some(state) = self.streams.get_mut(&*stream) else {
             self.pool.put(bytes);
@@ -713,39 +741,33 @@ impl Worker {
             return;
         }
         let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
-        let folded = fold_frame_into(
-            decoder,
-            &mut self.sketches,
-            stream.scenario(),
-            state.class,
-            &mut self.excess,
-            &bytes,
-        );
-        match folded {
-            Ok(samples) => {
+        let mut samples = self.samples_pool.get();
+        match decode_frame(decoder, &bytes, &mut self.excess, &mut samples) {
+            Ok(()) => {
                 // Committed as of the next barrier; an append failure
                 // surfaces there and fails the round.
                 state.last_seq = seq;
                 if resume {
                     state.ack_dirty = true;
                 }
-                self.since_publish += samples;
                 let class = state.class;
-                match &mut self.log {
-                    Some(log) => log.append(LogMsg::Frame {
-                        stream,
-                        class,
-                        seq,
-                        bytes,
-                    }),
-                    None => self.pool.put(bytes),
-                }
+                self.log.append(LogMsg::Frame {
+                    stream,
+                    class,
+                    seq,
+                    bytes,
+                    crc,
+                    samples,
+                });
             }
             Err(msg) => {
+                // A frame that fails to decode folds none of its
+                // samples and is never logged.
                 state.errored = true;
                 state.decoder = None;
                 self.reply_to(&stream, Reply::Err(msg));
                 self.pool.put(bytes);
+                self.samples_pool.put(samples);
             }
         }
     }
@@ -808,9 +830,7 @@ impl Worker {
             // discards it the same way).
             self.streams.remove(&stream);
         }
-        if let Some(log) = &mut self.log {
-            log.append(LogMsg::End { stream, seq });
-        }
+        self.log.append(LogMsg::End { stream, seq });
     }
 
     /// Queues a reply for delivery at the next commit point.
@@ -820,15 +840,16 @@ impl Worker {
         }
     }
 
-    /// The commit point: wait until the writer has made everything
-    /// handed to it durable, then release acks and verdicts. A round with
-    /// nothing to release (the middle of a plain upload) waits for
-    /// nothing: durability only has to lead what the worker tells.
+    /// The commit point: wait until the log stage has folded and made
+    /// durable everything handed to it, then release acks and verdicts.
+    /// A round with nothing to release (the middle of a plain upload)
+    /// waits for nothing: durability only has to lead what the worker
+    /// tells.
     fn commit(&mut self) {
         if self.replies.is_empty() && !self.streams.values().any(|s| s.ack_dirty) {
             return;
         }
-        if let Some(Err(msg)) = self.log.as_mut().map(LogHandle::barrier) {
+        if let Err(msg) = self.log.barrier() {
             // Some record since the last barrier is not durable: fail
             // every stream rather than ack what recovery cannot replay.
             eprintln!("latlab-serve: {msg}");
@@ -856,12 +877,12 @@ impl Worker {
         }
     }
 
-    /// Snapshots the shard at the last handed-off LSN and hands it to
-    /// the writer, which encodes, writes and prunes behind the fold.
-    /// Sketches go as `Arc`s — O(scenarios) refcount bumps, like
-    /// [`publish`](Self::publish).
+    /// Records every stream's state at the last handed-off LSN and
+    /// queues it to the log stage behind the frames it covers; the stage
+    /// adds its sketches, which by then hold exactly those frames, and
+    /// writes the checkpoint.
     fn checkpoint(&mut self) {
-        let Some(log) = &mut self.log else {
+        let Log::Thread(log) = &mut self.log else {
             return;
         };
         let mut streams = Vec::with_capacity(self.streams.len());
@@ -886,49 +907,26 @@ impl Worker {
                 decoder,
             });
         }
-        let sketches = self
-            .sketches
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
         log.checkpoint_due = false;
         let last_lsn = log.next_lsn - 1;
-        log.send(LogMsg::Checkpoint(CheckpointJob {
-            last_lsn,
-            sketches,
-            streams,
-        }));
-    }
-
-    /// Closes the log queue and joins the writer. On a crash the writer
-    /// first drops whatever is queued to it and its buffered bytes.
-    fn stop_log(&mut self, crash: bool) {
-        if let Some(log) = self.log.take() {
-            log.close(crash);
-        }
-    }
-
-    /// A publish clones `Arc` pointers only — O(scenarios) refcount
-    /// bumps, no sketch bodies copied here.
-    fn publish(&mut self) {
-        self.epoch += 1;
-        self.slot.store(Arc::new(ShardSnapshot {
-            epoch: self.epoch,
-            sketches: self.sketches.clone(),
-        }));
-        self.since_publish = 0;
+        log.send(LogMsg::Checkpoint(CheckpointJob { last_lsn, streams }));
     }
 }
 
-/// Records a shard worker may have queued to its log writer: 2 MiB of
-/// 64 KiB frames, enough to keep folding at full speed through a
-/// checkpoint write (~4 ms, some 25 frames of fold) without letting a
-/// stalled writer pin more frame buffers.
-const LOG_QUEUE_DEPTH: usize = 32;
+/// Messages the log stage may have queued from its worker. Each queued
+/// frame pins its 64 KiB buffer and its sample buffer until the stage
+/// has logged and folded it, so the depth trades memory for slack.
+/// Measured on perfbench `ingest-wal` (2 shards, 2 vCPUs; four
+/// interleaved 10 s runs per depth): median peak RSS read 39.3, 40.2
+/// and 42.2 MB at depths 8, 16 and 32 (39.5 MB before the split), while
+/// p50 read 6.77, 6.56 and 6.74 ms, within the runs' spread. 8 keeps
+/// RSS flat.
+const LOG_QUEUE_DEPTH: usize = 8;
 
-/// What a shard worker hands its log writer.
+/// What a shard worker hands its log stage.
 enum LogMsg {
-    /// Append an accepted frame, then return its buffer to the pool.
+    /// Append an accepted frame and fold its samples, then return both
+    /// buffers to their pools.
     Frame {
         /// Owning stream, moved from the worker's message.
         stream: Arc<StreamId>,
@@ -938,6 +936,11 @@ enum LogMsg {
         seq: u64,
         /// Pooled frame buffer.
         bytes: Vec<u8>,
+        /// CRC-32 of `bytes`, checked on the wire.
+        crc: u32,
+        /// The frame's latency samples (ms), decoded by the worker
+        /// (pooled).
+        samples: Vec<f64>,
     },
     /// Append an end-of-upload record.
     End {
@@ -952,17 +955,16 @@ enum LogMsg {
     Checkpoint(CheckpointJob),
 }
 
-/// A checkpoint as the worker snapshots it: the writer clones the
-/// sketch bodies, off the fold path.
+/// A checkpoint's stream half, as the worker records it; the log stage
+/// adds its own sketches when it reaches the job.
 struct CheckpointJob {
     last_lsn: u64,
-    sketches: Vec<(String, Arc<LatencySketch>)>,
     streams: Vec<StreamCkpt>,
 }
 
-/// The writer's answer to a barrier.
+/// The log stage's answer to a barrier.
 struct Synced {
-    /// LSN the writer's next append will get.
+    /// LSN the stage's next append will get.
     next_lsn: u64,
     /// The first append or flush failure since the previous barrier.
     error: Option<String>,
@@ -971,25 +973,77 @@ struct Synced {
     checkpoint_due: bool,
 }
 
-/// A shard worker's end of its log writer.
+/// A worker's way to its log stage: the stage itself, run inline when
+/// no WAL backs the shard, or the queue to the stage's own thread.
+enum Log {
+    Inline(Box<LogStage>),
+    Thread(LogHandle),
+}
+
+impl Log {
+    /// Hands over a record (a frame or an end marker).
+    fn append(&mut self, msg: LogMsg) {
+        match self {
+            Log::Inline(stage) => stage.handle(msg),
+            Log::Thread(handle) => handle.append(msg),
+        }
+    }
+
+    /// The flush barrier (see [`LogHandle::barrier`]); inline, every
+    /// record is folded on hand-over and there is nothing to flush.
+    fn barrier(&mut self) -> Result<(), String> {
+        match self {
+            Log::Inline(_) => Ok(()),
+            Log::Thread(handle) => handle.barrier(),
+        }
+    }
+
+    /// The worker found its queue idle. A stage on its own thread
+    /// notices its own idle moments.
+    fn idle(&mut self) {
+        if let Log::Inline(stage) = self {
+            stage.idle();
+        }
+    }
+
+    /// The stage's verdict at the last barrier.
+    fn checkpoint_due(&self) -> bool {
+        matches!(self, Log::Thread(handle) if handle.checkpoint_due)
+    }
+
+    /// Stops the stage: after a last publish (and flush), or on a crash
+    /// with neither.
+    fn close(self, crash: bool) {
+        match self {
+            Log::Inline(mut stage) => {
+                if !crash {
+                    stage.finish();
+                }
+            }
+            Log::Thread(handle) => handle.close(crash),
+        }
+    }
+}
+
+/// A shard worker's end of its log stage's thread.
 struct LogHandle {
     tx: SyncSender<LogMsg>,
     synced: Receiver<Synced>,
-    /// Set before a crash closes the queue: the writer then drops what
+    /// Set before a crash closes the queue: the stage then drops what
     /// is still queued instead of appending it.
     crashed: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
     /// LSN the next handed-off record gets: the worker numbers records
-    /// itself and checks the count against the writer's at each barrier.
+    /// itself and checks the count against the stage's at each barrier.
     next_lsn: u64,
     /// `next_lsn` at the last barrier.
     synced_lsn: u64,
-    /// The writer's verdict at the last barrier.
+    /// The stage's verdict at the last barrier.
     checkpoint_due: bool,
 }
 
 impl LogHandle {
-    /// Hands a record to the writer. A writer that is gone loses the
+    /// Hands a record to the stage. A stage that is gone loses the
     /// record, and the next barrier reports it.
     fn append(&mut self, msg: LogMsg) {
         self.next_lsn += 1;
@@ -997,13 +1051,14 @@ impl LogHandle {
     }
 
     fn send(&self, msg: LogMsg) {
-        // A failed send means the writer exited; the barrier notices.
+        // A failed send means the stage exited; the barrier notices.
         let _ = self.tx.send(msg);
     }
 
     /// The flush barrier: returns once every record handed over so far
-    /// has reached the OS, or with the first failure among them. A round
-    /// that handed nothing over has nothing to wait for.
+    /// has been folded and has reached the OS, or with the first
+    /// failure among them. A round that handed nothing over has nothing
+    /// to wait for.
     fn barrier(&mut self) -> Result<(), String> {
         if self.next_lsn == self.synced_lsn {
             return Ok(());
@@ -1014,38 +1069,37 @@ impl LogHandle {
         };
         let Some(synced) = synced else {
             self.synced_lsn = self.next_lsn;
-            return Err("wal: log writer exited".to_owned());
+            return Err("wal: log stage exited".to_owned());
         };
         self.checkpoint_due = synced.checkpoint_due;
         match &synced.error {
             None => debug_assert_eq!(
                 synced.next_lsn, self.next_lsn,
-                "worker and log writer disagree on the LSN at a barrier"
+                "worker and log stage disagree on the LSN at a barrier"
             ),
-            // After a failure the writer's count is the log's.
+            // After a failure the stage's count is the log's.
             Some(_) => self.next_lsn = synced.next_lsn,
         }
         self.synced_lsn = self.next_lsn;
         synced.error.map_or(Ok(()), Err)
     }
 
-    /// Closes the queue and joins the writer.
+    /// Closes the queue and joins the stage.
     fn close(mut self, crash: bool) {
         self.crashed.store(crash, Ordering::SeqCst);
         let join = self.join.take();
         drop(self);
         if join.is_some_and(|j| j.join().is_err()) {
-            eprintln!("latlab-serve: log writer panicked");
+            eprintln!("latlab-serve: log stage panicked");
         }
     }
 }
 
-/// A shard's log writer: owns the [`ShardWal`] and does every append,
-/// rotation, flush and checkpoint write, on its own thread.
-struct LogWriter {
+/// The WAL half of a log stage: the shard's log and what the stage
+/// needs to answer barriers and write checkpoints.
+struct StageWal {
     wal: ShardWal,
     dir: PathBuf,
-    pool: BufferPool<u8>,
     totals: Arc<IngestTotals>,
     checkpoint_bytes: u64,
     crashed: Arc<AtomicBool>,
@@ -1054,87 +1108,7 @@ struct LogWriter {
     error: Option<String>,
 }
 
-impl LogWriter {
-    /// A writer over `wal` plus the worker's handle on it, joined by a
-    /// queue `LOG_QUEUE_DEPTH` messages deep. The caller runs
-    /// [`run`](Self::run) on a thread and stores its join handle.
-    fn new(
-        wal: ShardWal,
-        dir: PathBuf,
-        pool: BufferPool<u8>,
-        totals: Arc<IngestTotals>,
-        checkpoint_bytes: u64,
-    ) -> (LogWriter, Receiver<LogMsg>, LogHandle) {
-        let (tx, rx) = sync_channel(LOG_QUEUE_DEPTH);
-        let (synced_tx, synced) = sync_channel(1);
-        let crashed = Arc::new(AtomicBool::new(false));
-        let next_lsn = wal.next_lsn();
-        let writer = LogWriter {
-            wal,
-            dir,
-            pool,
-            totals,
-            checkpoint_bytes,
-            crashed: crashed.clone(),
-            synced: synced_tx,
-            error: None,
-        };
-        let handle = LogHandle {
-            tx,
-            synced,
-            crashed,
-            join: None,
-            next_lsn,
-            synced_lsn: next_lsn,
-            checkpoint_due: false,
-        };
-        (writer, rx, handle)
-    }
-
-    fn run(mut self, rx: Receiver<LogMsg>) {
-        while let Ok(msg) = rx.recv() {
-            if self.crashed.load(Ordering::SeqCst) {
-                break;
-            }
-            self.handle(msg);
-        }
-        if self.crashed.load(Ordering::SeqCst) {
-            // Simulated kill -9: drop the log without its BufWriter
-            // flush-on-drop, losing buffered bytes as a dead process would.
-            std::mem::forget(self.wal);
-        } else if let Err(e) = self.wal.flush() {
-            // A drain's last checkpoint opened a fresh segment whose
-            // header is still buffered.
-            eprintln!("latlab-serve: wal flush at exit: {e}");
-        }
-    }
-
-    fn handle(&mut self, msg: LogMsg) {
-        match msg {
-            LogMsg::Frame {
-                stream,
-                class,
-                seq,
-                bytes,
-            } => {
-                self.append(|wal| wal.append_frame(&stream, class, seq, &bytes));
-                self.pool.put(bytes);
-            }
-            LogMsg::End { stream, seq } => self.append(|wal| wal.append_end(&stream, seq)),
-            LogMsg::Flush => {
-                if let Err(e) = self.wal.flush() {
-                    self.error.get_or_insert_with(|| format!("wal flush: {e}"));
-                }
-                let _ = self.synced.send(Synced {
-                    next_lsn: self.wal.next_lsn(),
-                    error: self.error.take(),
-                    checkpoint_due: self.wal.checkpoint_due(self.checkpoint_bytes),
-                });
-            }
-            LogMsg::Checkpoint(job) => self.checkpoint(job),
-        }
-    }
-
+impl StageWal {
     /// Runs one append and counts what it logged into the totals.
     fn append(&mut self, op: impl FnOnce(&mut ShardWal) -> io::Result<u64>) {
         let (records, bytes) = (self.wal.records_appended(), self.wal.bytes_appended());
@@ -1149,32 +1123,205 @@ impl LogWriter {
             .fetch_add(self.wal.bytes_appended() - bytes, Ordering::Relaxed);
     }
 
-    /// Flushes, writes a checkpoint covering everything up to
-    /// `job.last_lsn` and prunes the segments it covers.
-    fn checkpoint(&mut self, job: CheckpointJob) {
+    /// The barrier: flushes and answers with the LSN, the first failure
+    /// since the last barrier and whether a checkpoint is due.
+    fn sync(&mut self) {
         if let Err(e) = self.wal.flush() {
+            self.error.get_or_insert_with(|| format!("wal flush: {e}"));
+        }
+        let _ = self.synced.send(Synced {
+            next_lsn: self.wal.next_lsn(),
+            error: self.error.take(),
+            checkpoint_due: self.wal.checkpoint_due(self.checkpoint_bytes),
+        });
+    }
+}
+
+/// A shard's log stage: owns the sketches and, with a WAL, the
+/// [`ShardWal`]; appends, folds and publishes in the order the worker
+/// hands it frames, and writes checkpoints at their queue position.
+struct LogStage {
+    wal: Option<StageWal>,
+    sketches: HashMap<String, Arc<LatencySketch>>,
+    slot: Arc<SnapshotSlot>,
+    epoch: u64,
+    since_publish: u64,
+    publish_every: u64,
+    frame_pool: BufferPool<u8>,
+    samples_pool: BufferPool<f64>,
+}
+
+impl LogStage {
+    /// A stage with no sketches and no WAL, publishing into `slot`.
+    fn new(
+        slot: Arc<SnapshotSlot>,
+        publish_every: u64,
+        frame_pool: BufferPool<u8>,
+        samples_pool: BufferPool<f64>,
+    ) -> LogStage {
+        LogStage {
+            wal: None,
+            sketches: HashMap::new(),
+            slot,
+            epoch: 0,
+            since_publish: 0,
+            publish_every,
+            frame_pool,
+            samples_pool,
+        }
+    }
+
+    /// Gives the stage the shard's log, and returns it with the
+    /// receiving end of a queue `LOG_QUEUE_DEPTH` messages deep and the
+    /// worker's handle on it. The caller runs [`run`](Self::run) on a
+    /// thread and stores its join handle.
+    fn with_wal(
+        mut self,
+        wal: ShardWal,
+        dir: PathBuf,
+        checkpoint_bytes: u64,
+        totals: Arc<IngestTotals>,
+    ) -> (LogStage, Receiver<LogMsg>, LogHandle) {
+        let (tx, rx) = sync_channel(LOG_QUEUE_DEPTH);
+        let (synced_tx, synced) = sync_channel(1);
+        let crashed = Arc::new(AtomicBool::new(false));
+        let next_lsn = wal.next_lsn();
+        self.wal = Some(StageWal {
+            wal,
+            dir,
+            totals,
+            checkpoint_bytes,
+            crashed: crashed.clone(),
+            synced: synced_tx,
+            error: None,
+        });
+        let handle = LogHandle {
+            tx,
+            synced,
+            crashed,
+            join: None,
+            next_lsn,
+            synced_lsn: next_lsn,
+            checkpoint_due: false,
+        };
+        (self, rx, handle)
+    }
+
+    /// The stage's thread: handles messages until the worker closes the
+    /// queue, publishing in idle moments.
+    fn run(mut self, rx: Receiver<LogMsg>) {
+        let crashed = self.wal.as_ref().map(|w| w.crashed.clone());
+        let is_crashed = || crashed.as_ref().is_some_and(|c| c.load(Ordering::SeqCst));
+        loop {
+            match rx.recv_timeout(IDLE_PUBLISH) {
+                Ok(_) if is_crashed() => break,
+                Ok(msg) => self.handle(msg),
+                Err(RecvTimeoutError::Timeout) => self.idle(),
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        if is_crashed() {
+            // Simulated kill -9: drop the log without its BufWriter
+            // flush-on-drop, losing buffered bytes as a dead process would.
+            if let Some(wal) = self.wal.take() {
+                std::mem::forget(wal.wal);
+            }
+        } else {
+            self.finish();
+        }
+    }
+
+    fn handle(&mut self, msg: LogMsg) {
+        match msg {
+            LogMsg::Frame {
+                stream,
+                class,
+                seq,
+                bytes,
+                crc,
+                samples,
+            } => {
+                if let Some(log) = &mut self.wal {
+                    log.append(|wal| wal.append_frame(&stream, class, seq, &bytes, crc));
+                }
+                self.frame_pool.put(bytes);
+                self.since_publish +=
+                    fold_into(&mut self.sketches, stream.scenario(), class, &samples);
+                self.samples_pool.put(samples);
+                if self.since_publish >= self.publish_every {
+                    self.publish(false);
+                }
+            }
+            LogMsg::End { stream, seq } => {
+                if let Some(log) = &mut self.wal {
+                    log.append(|wal| wal.append_end(&stream, seq));
+                }
+            }
+            LogMsg::Flush => {
+                if let Some(log) = &mut self.wal {
+                    log.sync();
+                }
+            }
+            LogMsg::Checkpoint(job) => self.checkpoint(job),
+        }
+    }
+
+    /// An idle moment: surface anything folded since the last publish
+    /// (or put off by a reader) so queries converge without traffic.
+    fn idle(&mut self) {
+        if self.since_publish > 0 {
+            self.publish(false);
+        }
+    }
+
+    /// The last publish, then the last flush: a drain's checkpoint
+    /// opened a fresh segment whose header is still buffered.
+    fn finish(&mut self) {
+        self.publish(true);
+        if let Some(log) = &mut self.wal {
+            if let Err(e) = log.wal.flush() {
+                eprintln!("latlab-serve: wal flush at exit: {e}");
+            }
+        }
+    }
+
+    /// Publishes the sketches as the next epoch. A publish clones `Arc`
+    /// pointers only — O(scenarios) refcount bumps, no sketch bodies
+    /// copied here. Without `wait`, a slot a reader holds puts the
+    /// publish off: ingest never waits on a query.
+    fn publish(&mut self, wait: bool) {
+        let snap = Arc::new(ShardSnapshot {
+            epoch: self.epoch + 1,
+            sketches: self.sketches.clone(),
+        });
+        if self.slot.store(snap, wait) {
+            self.epoch += 1;
+            self.since_publish = 0;
+        }
+    }
+
+    /// Flushes, writes a checkpoint of the job's streams and the
+    /// stage's own sketches, which hold exactly the frames up to
+    /// `job.last_lsn`, and prunes the segments it covers.
+    fn checkpoint(&mut self, job: CheckpointJob) {
+        let Some(log) = &mut self.wal else {
+            return;
+        };
+        if let Err(e) = log.wal.flush() {
             eprintln!("latlab-serve: wal flush before checkpoint: {e}");
             return;
         }
         debug_assert_eq!(
-            self.wal.next_lsn() - 1,
+            log.wal.next_lsn() - 1,
             job.last_lsn,
-            "worker and log writer disagree on the checkpoint LSN"
+            "worker and log stage disagree on the checkpoint LSN"
         );
-        let ckpt = Checkpoint {
-            last_lsn: job.last_lsn,
-            sketches: job
-                .sketches
-                .into_iter()
-                .map(|(k, v)| (k, Arc::unwrap_or_clone(v)))
-                .collect(),
-            streams: job.streams,
-        };
-        if let Err(e) = write_checkpoint(&self.dir, &ckpt) {
+        let sketches = self.sketches.iter().map(|(k, v)| (k.as_str(), &**v));
+        if let Err(e) = write_checkpoint_parts(&log.dir, job.last_lsn, sketches, &job.streams) {
             eprintln!("latlab-serve: checkpoint write: {e}");
             return;
         }
-        if let Err(e) = self.wal.note_checkpoint(job.last_lsn) {
+        if let Err(e) = log.wal.note_checkpoint(job.last_lsn) {
             eprintln!("latlab-serve: segment prune: {e}");
         }
     }
@@ -1224,7 +1371,7 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
             streams.insert(s.id, state);
         }
     }
-    let mut excess: Vec<u64> = Vec::new();
+    let (mut excess, mut samples) = (Vec::new(), Vec::new());
     let (rstats, next_lsn) = replay(dir, after_lsn, |_lsn, rec| match rec {
         WalRecord::Frame {
             stream,
@@ -1244,21 +1391,10 @@ fn recover_shard(dir: &Path) -> io::Result<Recovered> {
             state.class = class;
             let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
             let before = decoder.records_decoded();
-            match fold_frame_into(
-                decoder,
-                &mut sketches,
-                stream.scenario(),
-                class,
-                &mut excess,
-                &bytes,
-            ) {
-                Ok(folded) => {
-                    let after = state
-                        .decoder
-                        .as_ref()
-                        .map_or(before, |d| d.records_decoded());
-                    stats.records += after - before;
-                    stats.samples += folded;
+            match decode_frame(decoder, &bytes, &mut excess, &mut samples) {
+                Ok(()) => {
+                    stats.records += decoder.records_decoded() - before;
+                    stats.samples += fold_into(&mut sketches, stream.scenario(), class, &samples);
                     state.last_seq = seq;
                 }
                 Err(_) => {
@@ -1358,6 +1494,17 @@ pub(crate) mod testkit {
         corpus.chunks(frame_len).map(<[u8]>::to_vec).collect()
     }
 
+    /// A frame message as a connection thread sends it: the payload with
+    /// its CRC.
+    pub(crate) fn frame_msg(stream: &StreamId, seq: u64, bytes: Vec<u8>) -> Msg {
+        Msg::Frame {
+            stream: Arc::new(stream.clone()),
+            seq,
+            crc: latlab_trace::crc32(&bytes),
+            bytes,
+        }
+    }
+
     /// Sends, retrying transient `QueueFull` (the bounded queue is load
     /// shedding, not an error, when the test is just slower than ingest).
     pub(crate) fn send_retry(set: &ShardSet, shard: usize, mut msg: Msg) {
@@ -1412,11 +1559,7 @@ pub(crate) mod testkit {
             send_retry(
                 set,
                 shard,
-                Msg::Frame {
-                    stream: Arc::new(stream.clone()),
-                    seq: base + 1 + i as u64,
-                    bytes: frame.clone(),
-                },
+                frame_msg(stream, base + 1 + i as u64, frame.clone()),
             );
         }
         send_retry(
@@ -1433,6 +1576,15 @@ pub(crate) mod testkit {
                 verdict => return verdict,
             }
         }
+    }
+
+    /// Holds one shard's snapshot slot as a reader does while it clones
+    /// the published `Arc`, for as long as the guard lives.
+    pub(crate) fn hold_slot(
+        set: &ShardSet,
+        shard: usize,
+    ) -> std::sync::RwLockReadGuard<'_, Arc<ShardSnapshot>> {
+        set.shards[shard].slot.0.read().unwrap()
     }
 
     /// Polls one shard's slot until its epoch reaches `want`.
@@ -1455,6 +1607,21 @@ mod tests {
     use crate::protocol::{read_seq_frame, write_seq_frame};
     use crate::slam::idle_corpus;
     use crate::wal::{encode_end_record, encode_frame_record};
+
+    /// Decodes and folds one frame the way a shard and WAL replay do,
+    /// as the reference for what a shard folded.
+    fn fold_frame_into(
+        decoder: &mut StreamDecoder,
+        sketches: &mut HashMap<String, Arc<LatencySketch>>,
+        scenario: &str,
+        class: Option<EventClass>,
+        excess: &mut Vec<u64>,
+        bytes: &[u8],
+    ) -> Result<u64, String> {
+        let mut samples = Vec::new();
+        decode_frame(decoder, bytes, excess, &mut samples)?;
+        Ok(fold_into(sketches, scenario, class, &samples))
+    }
 
     #[test]
     fn routing_is_stable_and_key_sensitive() {
@@ -1521,11 +1688,7 @@ mod tests {
         'outer: for _ in 0..64 {
             for frame in &frames {
                 seq += 1;
-                let msg = Msg::Frame {
-                    stream: Arc::new(stream.clone()),
-                    seq,
-                    bytes: frame.clone(),
-                };
+                let msg = frame_msg(&stream, seq, frame.clone());
                 if let Err((returned, IngestRejection::QueueFull)) = set.try_send(0, msg) {
                     // The rejected frame comes back intact for retry.
                     match returned {
@@ -1584,11 +1747,8 @@ mod tests {
         send_retry(
             &set,
             0,
-            Msg::Frame {
-                stream: Arc::new(stream.clone()),
-                seq: 3, // expected 1
-                bytes: corpus[..512].to_vec(),
-            },
+            // Expected seq 1.
+            frame_msg(&stream, 3, corpus[..512].to_vec()),
         );
         match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
             Reply::Err(msg) => assert!(msg.contains("seq gap"), "{msg}"),
@@ -1609,15 +1769,7 @@ mod tests {
         let (rx, base) = begin(&set, 0, &stream, BeginMode::Fresh);
         assert_eq!(base, 0);
         for (i, frame) in frames[..half].iter().enumerate() {
-            send_retry(
-                &set,
-                0,
-                Msg::Frame {
-                    stream: Arc::new(stream.clone()),
-                    seq: 1 + i as u64,
-                    bytes: frame.clone(),
-                },
-            );
+            send_retry(&set, 0, frame_msg(&stream, 1 + i as u64, frame.clone()));
         }
         // Wait for the cumulative ack covering everything sent: ack ⇒
         // WAL-flushed ⇒ these frames must survive the crash.
@@ -1726,15 +1878,7 @@ mod tests {
         let stream = keyed("c", "old");
         let (_rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
         for (i, frame) in frames[..half].iter().enumerate() {
-            send_retry(
-                &set,
-                0,
-                Msg::Frame {
-                    stream: Arc::new(stream.clone()),
-                    seq: 1 + i as u64,
-                    bytes: frame.clone(),
-                },
-            );
+            send_retry(&set, 0, frame_msg(&stream, 1 + i as u64, frame.clone()));
         }
         set.drain_and_join();
 
@@ -1839,15 +1983,7 @@ mod tests {
         let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
         let mut buf = set.frame_pool().get();
         buf.extend_from_slice(&corpus);
-        send_retry(
-            &set,
-            0,
-            Msg::Frame {
-                stream: Arc::new(stream.clone()),
-                seq: 1,
-                bytes: buf,
-            },
-        );
+        send_retry(&set, 0, frame_msg(&stream, 1, buf));
         send_retry(
             &set,
             0,
@@ -1956,19 +2092,27 @@ mod tests {
         assert!(frames.len() > 8, "corpus too small to reach steady state");
         let tmp = TempDir::new("alloc");
         let pool: BufferPool<u8> = BufferPool::new();
+        let samples_pool: BufferPool<f64> = BufferPool::new();
         let wal = ShardWal::open(&tmp.0, u64::MAX, 1).unwrap();
-        let (mut writer, log_rx, mut log) =
-            LogWriter::new(wal, tmp.0.clone(), pool.clone(), Arc::default(), u64::MAX);
-        // The writer's own message handler on its own thread, with each
-        // message's allocations counted there.
-        let writer_thread = std::thread::spawn(move || {
+        let slot = Arc::new(SnapshotSlot::new());
+        let (mut stage, log_rx, mut log) = LogStage::new(
+            slot,
+            u64::MAX,
+            pool.clone(),
+            samples_pool.clone(),
+        )
+        .with_wal(wal, tmp.0.clone(), u64::MAX, Arc::default());
+        // The log stage's own message handler on its own thread, with
+        // each message's allocations counted there.
+        let stage_thread = std::thread::spawn(move || {
             let mut counts = Vec::with_capacity(256);
             while let Ok(msg) = log_rx.recv() {
                 let before = alloc_count::on_this_thread();
-                writer.handle(msg);
+                stage.handle(msg);
                 counts.push(alloc_count::on_this_thread() - before);
             }
-            counts
+            // Nothing publishes, so this counts every folded sample.
+            (counts, stage.since_publish)
         });
         // One stream id per upload, shared by every frame's message.
         let stream = Arc::new(keyed("c", "fig5"));
@@ -1981,47 +2125,48 @@ mod tests {
         }
         let mut wire = io::Cursor::new(wire);
         let (queue_tx, queue_rx) = sync_channel::<Msg>(1);
-        let mut decoder = StreamDecoder::new();
-        let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
-        let mut excess = Vec::new();
+        let (mut decoder, mut excess) = (StreamDecoder::new(), Vec::new());
         // Warm-up: the header, the scenario's first insert, and the
         // carry, excess and record scratch buffers growing to their
         // working size.
         let warm = 4;
-        let mut folded = 0;
         for i in 0..frames.len() {
             let before = alloc_count::on_this_thread();
             // The connection thread's part: a pooled buffer (the barrier
             // below returned the last one), the frame read into it, and
             // its message onto the shard queue.
             let mut bytes = pool.get();
-            let (seq, more) = read_seq_frame(&mut wire, &mut bytes).unwrap();
-            assert!(more);
+            let (seq, crc) = read_seq_frame(&mut wire, &mut bytes).unwrap();
+            let crc = crc.expect("a payload frame");
             queue_tx
                 .try_send(Msg::Frame {
                     stream: Arc::clone(&stream),
                     seq,
                     bytes,
+                    crc,
                 })
                 .unwrap();
-            // The worker's part: fold the frame, then hand it to the log.
-            let Ok(Msg::Frame { stream, seq, bytes }) = queue_rx.try_recv() else {
+            // The worker's part: decode the frame into a pooled sample
+            // buffer (the barrier below returned the last one), then hand
+            // both to the log stage.
+            let Ok(Msg::Frame {
+                stream,
+                seq,
+                bytes,
+                crc,
+            }) = queue_rx.try_recv()
+            else {
                 panic!("the queue lost frame {i}");
             };
-            folded += fold_frame_into(
-                &mut decoder,
-                &mut sketches,
-                stream.scenario(),
-                class,
-                &mut excess,
-                &bytes,
-            )
-            .unwrap();
+            let mut samples = samples_pool.get();
+            decode_frame(&mut decoder, &bytes, &mut excess, &mut samples).unwrap();
             log.append(LogMsg::Frame {
                 stream,
                 class,
                 seq,
                 bytes,
+                crc,
+                samples,
             });
             let allocs = alloc_count::on_this_thread() - before;
             if i >= warm {
@@ -2035,19 +2180,126 @@ mod tests {
             // depends on scheduling.
             log.barrier().unwrap();
         }
-        assert!(folded > 0, "the steady frames folded no samples");
         log.close(false);
-        let counts = writer_thread.join().unwrap();
-        // Two messages per frame: the append, then the barrier's flush.
+        let (counts, folded) = stage_thread.join().unwrap();
+        assert!(folded > 0, "the steady frames folded no samples");
+        // Two messages per frame: the append and fold, then the
+        // barrier's flush.
         assert_eq!(counts.len(), 2 * frames.len());
         for (n, allocs) in counts.iter().enumerate().skip(2 * warm) {
             assert_eq!(
                 *allocs,
                 0,
-                "writer: steady frame {} allocated {allocs} times",
+                "log stage: steady frame {} allocated {allocs} times",
                 n / 2
             );
         }
+    }
+
+    #[test]
+    fn a_checkpoint_queued_behind_unfolded_frames_covers_exactly_them() {
+        // The worker queues a checkpoint (its stream states at LSN k)
+        // behind frames its log stage has not folded yet: here the stage
+        // only starts once frames 1..=k and the checkpoint are queued.
+        // The stage folds those frames first, so the checkpoint holds
+        // exactly them; recovery after a crash then rebuilds exactly the
+        // acknowledged prefix from it and the log tail.
+        let tmp = TempDir::new("ckpt-queued");
+        let corpus = idle_corpus(20_000, 0xc4e0, 48);
+        let frames = frames_of(&corpus, 4096);
+        let (k, acked) = (3, frames.len() - 2);
+        let stream = keyed("c", "fig5");
+        let class = Some(EventClass::Keystroke);
+        let dir = tmp.wal().shard_dir(0);
+        let samples_pool: BufferPool<f64> = BufferPool::new();
+        let wal = ShardWal::open(&dir, 4 << 20, 1).unwrap();
+        let slot = Arc::new(SnapshotSlot::new());
+        let (stage, log_rx, mut log) = LogStage::new(
+            slot,
+            u64::MAX,
+            BufferPool::new(),
+            samples_pool.clone(),
+        )
+        .with_wal(wal, dir.clone(), u64::MAX, Arc::default());
+        let mut decoder = StreamDecoder::new();
+        let mut excess = Vec::new();
+        let mut hand = |log: &mut LogHandle, decoder: &mut StreamDecoder, i: usize| {
+            let bytes = frames[i].clone();
+            let mut samples = samples_pool.get();
+            decode_frame(decoder, &bytes, &mut excess, &mut samples).unwrap();
+            log.append(LogMsg::Frame {
+                stream: Arc::new(stream.clone()),
+                class,
+                seq: i as u64 + 1,
+                crc: latlab_trace::crc32(&bytes),
+                bytes,
+                samples,
+            });
+        };
+        for i in 0..k {
+            hand(&mut log, &mut decoder, i);
+        }
+        let state = decoder.export_state().expect("a frame boundary");
+        let streams = vec![StreamCkpt {
+            id: stream.clone(),
+            class,
+            last_seq: k as u64,
+            done_records: 0,
+            done_bytes: 0,
+            prev_stamp: state.any_read.then_some(state.prev_at),
+            decoder: Some(state),
+        }];
+        let last_lsn = log.next_lsn - 1;
+        log.send(LogMsg::Checkpoint(CheckpointJob { last_lsn, streams }));
+        log.join = Some(std::thread::spawn(move || stage.run(log_rx)));
+        for i in k..acked {
+            hand(&mut log, &mut decoder, i);
+        }
+        log.barrier().unwrap();
+        log.close(true);
+
+        let image = |sketch: &LatencySketch| {
+            let mut out = Vec::new();
+            sketch.encode(&mut out);
+            out
+        };
+        let reference = |frames: &[Vec<u8>]| {
+            let (mut decoder, mut excess) = (StreamDecoder::new(), Vec::new());
+            let mut sketches = HashMap::new();
+            for frame in frames {
+                fold_frame_into(
+                    &mut decoder,
+                    &mut sketches,
+                    "fig5",
+                    class,
+                    &mut excess,
+                    frame,
+                )
+                .unwrap();
+            }
+            image(&sketches["fig5"])
+        };
+        let ckpt = crate::wal::load_checkpoint(&dir)
+            .unwrap()
+            .expect("the queued checkpoint");
+        assert_eq!(ckpt.last_lsn, k as u64);
+        assert_eq!(ckpt.sketches.len(), 1);
+        assert!(
+            image(&ckpt.sketches[0].1) == reference(&frames[..k]),
+            "the checkpoint does not hold exactly frames 1..={k}"
+        );
+
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        assert_eq!(set.recovery().checkpoints, 1);
+        assert_eq!(set.recovery().frames, (acked - k) as u64);
+        let recovered = set.snapshots()[0].sketches["fig5"].clone();
+        assert!(
+            image(&recovered) == reference(&frames[..acked]),
+            "recovery does not hold exactly the acknowledged prefix"
+        );
+        let (_rx, watermark) = begin(&set, 0, &stream, BeginMode::Continue(0));
+        assert_eq!(watermark, acked as u64);
+        set.drain_and_join();
     }
 
     #[test]
@@ -2089,9 +2341,9 @@ mod tests {
 
     #[test]
     fn a_crash_with_frames_queued_to_the_writer_keeps_every_ack() {
-        // Acks never outrun the writer. Frames are sent and the shard
+        // Acks never outrun the log stage. Frames are sent and the shard
         // is crashed right behind them, so some are still queued to the
-        // worker or to its writer; a crash drops those. Recovery must
+        // worker or to its log stage; a crash drops those. Recovery must
         // hold every acknowledged frame, and hold exactly the fold of
         // the prefix it reports as its watermark.
         let corpus = idle_corpus(40_000, 0x9a7e, 48);
@@ -2106,15 +2358,7 @@ mod tests {
             let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
             let send = |range: std::ops::Range<usize>| {
                 for i in range {
-                    send_retry(
-                        &set,
-                        0,
-                        Msg::Frame {
-                            stream: Arc::new(stream.clone()),
-                            seq: 1 + i as u64,
-                            bytes: frames[i].clone(),
-                        },
-                    );
+                    send_retry(&set, 0, frame_msg(&stream, 1 + i as u64, frames[i].clone()));
                 }
             };
             send(0..cut);
@@ -2182,7 +2426,7 @@ mod tests {
 
     #[test]
     fn fifty_drain_restart_cycles_replay_nothing() {
-        // A drain joins the log writer after its checkpoint, so nothing
+        // A drain joins the log stage after its checkpoint, so nothing
         // it buffered (the fresh segment's header included) can race the
         // restart that follows.
         let tmp = TempDir::new("drain-50");

@@ -30,11 +30,11 @@
 //! so a clean restart replays nothing.
 
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_trace::{crc32, DecoderState, TraceMeta};
+use latlab_trace::{crc32, crc32_combine, DecoderState, TraceMeta};
 
 use crate::protocol::{write_frame, MAX_FRAME_PAYLOAD};
 
@@ -317,6 +317,20 @@ fn list_numbered(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64,
     Ok(out)
 }
 
+/// `Write::write_all` for a list of slices: writes every byte of `bufs`,
+/// in order, in as few calls as the writer takes them.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 fn open_segment(dir: &Path, first_lsn: u64) -> io::Result<(PathBuf, BufWriter<File>)> {
     let path = segment_path(dir, first_lsn);
     let mut writer = BufWriter::new(File::create(&path)?);
@@ -410,7 +424,12 @@ impl ShardWal {
         self.commit_scratch()
     }
 
-    /// Appends a `Frame` record from borrowed parts.
+    /// Appends a `Frame` record from borrowed parts, given `payload_crc`,
+    /// the CRC-32 of `payload` (checked on the wire). The record's CRC is
+    /// combined from its short prefix's and `payload_crc`, and the
+    /// payload is written straight from `payload`: the record is the
+    /// bytes [`append`](Self::append) writes, without copying or
+    /// re-reading the payload.
     ///
     /// # Errors
     ///
@@ -421,10 +440,22 @@ impl ShardWal {
         class: Option<EventClass>,
         seq: u64,
         payload: &[u8],
+        payload_crc: u32,
     ) -> io::Result<u64> {
+        debug_assert_eq!(crc32(payload), payload_crc, "frame payload CRC");
+        // The record header goes in front of the prefix, so header,
+        // prefix and payload leave in one vectored write.
         self.scratch.clear();
-        encode_frame_record(stream, class, seq, payload, &mut self.scratch);
-        self.commit_scratch()
+        self.scratch.extend_from_slice(&[0; 8]);
+        encode_frame_record(stream, class, seq, &[], &mut self.scratch);
+        let prefix = &self.scratch[8..];
+        let len = prefix.len() + payload.len();
+        let crc = crc32_combine(crc32(prefix), payload_crc, payload.len() as u64);
+        self.scratch[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
+        let mut bufs = [IoSlice::new(&self.scratch), IoSlice::new(payload)];
+        write_all_vectored(&mut self.writer, &mut bufs)?;
+        self.advance(len)
     }
 
     /// Appends an `End` record from borrowed parts.
@@ -440,9 +471,15 @@ impl ShardWal {
 
     fn commit_scratch(&mut self) -> io::Result<u64> {
         write_frame(&mut self.writer, &self.scratch)?;
+        self.advance(self.scratch.len())
+    }
+
+    /// Accounts for one record of `len` body bytes just written, and
+    /// rotates when the segment is full. Returns the record's LSN.
+    fn advance(&mut self, len: usize) -> io::Result<u64> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let framed = 8 + self.scratch.len() as u64;
+        let framed = 8 + len as u64;
         self.active_bytes += framed;
         self.since_checkpoint += framed;
         self.records_appended += 1;
@@ -677,24 +714,35 @@ pub struct Checkpoint {
     pub streams: Vec<StreamCkpt>,
 }
 
+/// The checkpoint image of `last_lsn`, `sketches` and `streams`, from
+/// borrowed parts, so a caller need not own or copy its sketches.
+fn encode_checkpoint<'a>(
+    last_lsn: u64,
+    sketches: impl ExactSizeIterator<Item = (&'a str, &'a LatencySketch)>,
+    streams: &[StreamCkpt],
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&CHECKPOINT_MAGIC);
+    out.push(WAL_VERSION);
+    out.extend_from_slice(&last_lsn.to_le_bytes());
+    out.extend_from_slice(&(sketches.len() as u32).to_le_bytes());
+    for (scenario, sketch) in sketches {
+        put_str(&mut out, scenario);
+        sketch.encode(&mut out);
+    }
+    out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+    for stream in streams {
+        stream.encode(&mut out);
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
 impl Checkpoint {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.push(WAL_VERSION);
-        out.extend_from_slice(&self.last_lsn.to_le_bytes());
-        out.extend_from_slice(&(self.sketches.len() as u32).to_le_bytes());
-        for (scenario, sketch) in &self.sketches {
-            put_str(&mut out, scenario);
-            sketch.encode(&mut out);
-        }
-        out.extend_from_slice(&(self.streams.len() as u32).to_le_bytes());
-        for stream in &self.streams {
-            stream.encode(&mut out);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let sketches = self.sketches.iter().map(|(k, v)| (k.as_str(), v));
+        encode_checkpoint(self.last_lsn, sketches, &self.streams)
     }
 
     fn decode(buf: &[u8]) -> Option<Checkpoint> {
@@ -745,11 +793,33 @@ impl Checkpoint {
 ///
 /// Filesystem failures.
 pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<()> {
+    write_checkpoint_image(dir, ckpt.last_lsn, &ckpt.encode())
+}
+
+/// [`write_checkpoint`] from borrowed parts: the same bytes a
+/// [`Checkpoint`] of these fields writes.
+///
+/// # Errors
+///
+/// Filesystem failures.
+pub(crate) fn write_checkpoint_parts<'a>(
+    dir: &Path,
+    last_lsn: u64,
+    sketches: impl ExactSizeIterator<Item = (&'a str, &'a LatencySketch)>,
+    streams: &[StreamCkpt],
+) -> io::Result<()> {
+    write_checkpoint_image(
+        dir,
+        last_lsn,
+        &encode_checkpoint(last_lsn, sketches, streams),
+    )
+}
+
+fn write_checkpoint_image(dir: &Path, last_lsn: u64, bytes: &[u8]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    let bytes = ckpt.encode();
-    let tmp = dir.join(format!("ckpt-{:020}.tmp", ckpt.last_lsn));
-    fs::write(&tmp, &bytes)?;
-    fs::rename(&tmp, checkpoint_path(dir, ckpt.last_lsn))?;
+    let tmp = dir.join(format!("ckpt-{last_lsn:020}.tmp"));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, checkpoint_path(dir, last_lsn))?;
     let all = list_numbered(dir, "ckpt-", ".ckpt")?;
     if all.len() > CHECKPOINTS_KEPT {
         for (_, path) in &all[..all.len() - CHECKPOINTS_KEPT] {

@@ -50,7 +50,7 @@ mod stream;
 mod varint;
 mod writer;
 
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_combine};
 pub use error::TraceError;
 pub use meta::{StreamKind, TraceMeta, FORMAT_VERSION, MAGIC};
 pub use pool::BufferPool;

@@ -4,9 +4,11 @@
 //! handler to shard worker per wire frame, and a reply buffer per query
 //! connection; each would otherwise be allocated per frame or per
 //! connection. [`BufferPool`] recycles them: a `get`
-//! hands out a cleared buffer with its old capacity intact, a `put`
-//! returns it. Once the pool has warmed up to the service's steady-state
-//! working set, no frame payload is allocated afresh.
+//! hands out a buffer as it was returned, contents and capacity intact,
+//! a `put` returns it. Once the pool has warmed up to the service's
+//! steady-state working set, no frame payload is allocated afresh, and a
+//! frame read into a buffer that already holds a frame's worth of
+//! initialised bytes needs no zero-fill first.
 //!
 //! The pool is deliberately simple: a mutex around a stack of vectors.
 //! The lock is held for a push or pop only, far from any hot inner loop
@@ -52,9 +54,10 @@ impl<T> BufferPool<T> {
         }
     }
 
-    /// Takes a cleared buffer from the pool, or a fresh one if the pool
-    /// is empty. The returned buffer keeps whatever capacity it had when
-    /// it was `put` back.
+    /// Takes a buffer from the pool, or a fresh one if the pool is
+    /// empty. The returned buffer keeps whatever length, contents and
+    /// capacity it had when it was `put` back: a caller that appends
+    /// clears it first.
     pub fn get(&self) -> Vec<T> {
         self.free
             .lock()
@@ -63,14 +66,13 @@ impl<T> BufferPool<T> {
             .unwrap_or_default()
     }
 
-    /// Returns a buffer to the pool. The buffer is cleared here; callers
-    /// need not empty it first. Oversized buffers and overflow beyond the
-    /// pool cap are dropped instead of retained.
-    pub fn put(&self, mut buf: Vec<T>) {
+    /// Returns a buffer to the pool as it is, contents included.
+    /// Oversized buffers and overflow beyond the pool cap are dropped
+    /// instead of retained.
+    pub fn put(&self, buf: Vec<T>) {
         if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
             return;
         }
-        buf.clear();
         let mut free = self.free.lock().expect("buffer pool lock poisoned");
         if free.len() < MAX_POOLED {
             free.push(buf);
@@ -96,7 +98,7 @@ mod tests {
         pool.put(a);
         assert_eq!(pool.idle(), 1);
         let b = pool.get();
-        assert!(b.is_empty(), "pooled buffer must come back cleared");
+        assert_eq!(b, [1, 2, 3], "contents must survive the round trip");
         assert_eq!(b.capacity(), cap, "capacity must survive the round trip");
         assert_eq!(pool.idle(), 0);
     }
