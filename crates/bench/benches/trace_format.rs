@@ -76,7 +76,7 @@ fn encode_stamps(stamps: &[u64]) -> Vec<u8> {
 }
 
 /// The latency samples (ms) the server folds from `corpus`: the fused
-/// kernel's excess cycles, converted as `fold_frame` converts them.
+/// kernel's excess cycles, converted as `decode_samples` converts them.
 fn fold_samples(corpus: &[u8]) -> Vec<f64> {
     let mut d = StreamDecoder::new();
     let mut excess = Vec::new();

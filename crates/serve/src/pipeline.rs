@@ -2,12 +2,12 @@
 //! fold — factored out of the connection handler so it can run over an
 //! in-memory corpus with no sockets attached.
 //!
-//! The server runs the **fused path** (`fold_frame`, or its two halves
-//! on two threads): [`StreamDecoder::feed_gaps`] decodes each frame
-//! straight to the excess cycles of over-baseline stamp gaps without
-//! storing a stamp, each excess becomes one sample in milliseconds
-//! (`decode_samples`), and the frame's samples fold through one
-//! [`LatencySketch::update_batch`].
+//! The server runs the **fused path** in two halves: a shard's worker
+//! decodes each frame with [`StreamDecoder::feed_gaps`] straight to the
+//! excess cycles of over-baseline stamp gaps, without storing a stamp,
+//! and turns each excess into one sample in milliseconds
+//! (`decode_samples`); its log stage folds the frame's samples through
+//! one [`LatencySketch::update_batch`].
 //!
 //! [`fold_corpus`] runs that path start-to-finish over a `.ltrc` byte
 //! stream, or runs the **reference fold** the tests hold it to:
@@ -20,36 +20,6 @@
 use latlab_analysis::{EventClass, LatencySketch};
 use latlab_des::SimDuration;
 use latlab_trace::{StreamDecoder, StreamKind, TraceError, TraceReader};
-
-/// Decodes one frame through the fused gap kernel and folds its samples
-/// into the sketch `sketch` returns — asked for only when the frame
-/// yielded a sample. `excess` and `samples` are caller-owned scratch
-/// ([`decode_samples`]), so a steady-state frame allocates nothing.
-/// Returns the samples folded.
-///
-/// Uses the same float operations, in the same order, as the reference
-/// fold of [`fold_corpus`] (one [`LatencySketch::push`] per sample), so
-/// the sketch is bit-identical to it.
-///
-/// # Errors
-///
-/// The decoder's error; a frame that fails to decode folds none of its
-/// samples (the decoder is poisoned, and the caller fails the upload).
-pub(crate) fn fold_frame<'a>(
-    decoder: &mut StreamDecoder,
-    excess: &mut Vec<u64>,
-    samples: &mut Vec<f64>,
-    bytes: &[u8],
-    class: EventClass,
-    sketch: impl FnOnce() -> &'a mut LatencySketch,
-) -> Result<u64, TraceError> {
-    decode_samples(decoder, bytes, excess, samples)?;
-    if samples.is_empty() {
-        return Ok(0);
-    }
-    sketch().update_batch(class, samples);
-    Ok(samples.len() as u64)
-}
 
 /// Decodes one frame to its latency samples: [`StreamDecoder::feed_gaps`]
 /// into `excess`, then each excess converted to milliseconds of the
@@ -101,7 +71,8 @@ pub struct FoldOutcome {
 /// `reference` selects the reference fold instead: [`TraceReader`]
 /// over the whole corpus (`frame_len` is then unused), a walk over its
 /// stamp gaps, and one [`LatencySketch::push`] per sample. Otherwise the
-/// server's fused path runs (`fold_frame` per fragment). Both fold
+/// server's fused path runs (`decode_samples`, then one
+/// [`LatencySketch::update_batch`], per fragment). Both fold
 /// orders are identical, so the returned sketches are bit-identical —
 /// the perf harness times the two over the same corpus for the
 /// fused-over-reference figure.
@@ -125,10 +96,9 @@ pub fn fold_corpus(
     let (mut excess, mut ms) = (Vec::new(), Vec::new());
     let mut samples = 0u64;
     for frame in corpus.chunks(frame_len) {
-        samples += fold_frame(&mut decoder, &mut excess, &mut ms, frame, class, || {
-            &mut sketch
-        })
-        .expect("valid corpus");
+        decode_samples(&mut decoder, frame, &mut excess, &mut ms).expect("valid corpus");
+        sketch.update_batch(class, &ms);
+        samples += ms.len() as u64;
     }
     assert!(
         decoder.is_clean_boundary(),

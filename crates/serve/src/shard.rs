@@ -17,9 +17,17 @@
 //! milliseconds, into a pooled `Vec<f64>`) and hands the frame, its
 //! samples and its wire CRC to the shard's **log stage**. The log stage
 //! owns the sketches: it appends each frame to the log, folds its
-//! samples and publishes, all in the order the worker handed them over. The log's LSN order therefore *is* the fold
-//! order by construction, and recovery (checkpoint + [`replay`], through
-//! the same decode and fold helpers) reproduces the sketch exactly.
+//! samples and publishes, all in the order the worker handed them over.
+//! The log's LSN order therefore *is* the fold order by construction.
+//!
+//! **Recovery is one more input to the worker.** Before the shard takes
+//! traffic, its worker loads the newest checkpoint into its streams and
+//! its (still inline) log stage's sketches, then feeds every later log
+//! record ([`replay`]) to its own transitions: a `Frame` to `on_frame`, an
+//! `End` to `on_end`, a `Begin` to `StreamState::begin`. There is no
+//! second copy of the per-stream rules to drift from the live one, so
+//! recovery rebuilds exactly what the worker held. Only then does the
+//! stage get the log and its own thread.
 //!
 //! **Log stage:** with a write-ahead log, the log stage runs on a second
 //! thread per shard and owns its [`ShardWal`]; the worker reaches it
@@ -47,7 +55,10 @@
 //! `last + 1` are a protocol error. Acknowledgements are sent only
 //! after the barrier that makes the frame durable — an acked sample
 //! is a recoverable sample, and a re-sent one is deduped, which together
-//! give exactly-once delivery at the sketch level.
+//! give exactly-once delivery at the sketch level. A `Begin` that drops
+//! the decode state an abandoned or failed upload left is logged as a
+//! `Begin` record when the log holds that upload's frames (the stream's
+//! `open_in_log`), so replay drops it at the same point.
 //!
 //! **Backpressure:** each shard is fed through a bounded
 //! [`sync_channel`]; producers use `try_send` and surface `BUSY` to the
@@ -75,7 +86,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{
     sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError,
@@ -85,7 +96,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
-use latlab_trace::{BufferPool, StreamDecoder};
+use latlab_trace::{crc32, BufferPool, StreamDecoder};
 
 use crate::pipeline::decode_samples;
 use crate::wal::{
@@ -301,10 +312,11 @@ pub enum IngestRejection {
 
 impl ShardSet {
     /// Spawns the shard threads. With a [`WalConfig`], each shard first
-    /// **recovers** — loads its newest valid checkpoint and replays the
-    /// log tail through the ingest decode and fold — before any worker
-    /// accepts traffic; recovered snapshots are published immediately,
-    /// so this returns with the pre-crash state fully visible.
+    /// **recovers** — loads its newest valid checkpoint and feeds the
+    /// log tail to its worker's own ingest transitions — before any
+    /// worker accepts traffic; recovered snapshots are published
+    /// immediately, so this returns with the pre-crash state fully
+    /// visible.
     ///
     /// # Errors
     ///
@@ -322,45 +334,27 @@ impl ShardSet {
         for i in 0..n {
             let (tx, rx) = sync_channel(config.queue_depth.max(1));
             let slot = Arc::new(SnapshotSlot::new());
-            let mut stage = LogStage::new(
+            let stage = LogStage::new(
                 slot.clone(),
                 config.publish_every.max(1),
                 frame_pool.clone(),
                 samples_pool.clone(),
             );
-            let (log, streams) = match wal {
-                Some(cfg) => {
-                    let dir = cfg.shard_dir(i);
-                    let rec = recover_shard(&dir)?;
-                    recovery.merge(&rec.stats);
-                    max_conn = max_conn.max(rec.max_conn);
-                    let shard_wal = ShardWal::open(&dir, cfg.segment_bytes, rec.next_lsn)?;
-                    // Publish what recovery rebuilt before any ingest, so
-                    // queries see the pre-crash state from the first epoch.
-                    stage.sketches = rec.sketches;
-                    if !stage.sketches.is_empty() {
-                        stage.publish(true);
-                    }
-                    let (stage, log_rx, mut handle) =
-                        stage.with_wal(shard_wal, dir, cfg.checkpoint_bytes.max(1), totals.clone());
-                    let join = std::thread::Builder::new()
-                        .name(format!("latlab-wal-{i}"))
-                        .spawn(move || stage.run(log_rx))
-                        .expect("spawn log stage");
-                    handle.join = Some(join);
-                    (Log::Thread(handle), rec.streams)
-                }
-                None => (Log::Inline(Box::new(stage)), HashMap::new()),
-            };
             let worker = Worker {
                 pool: frame_pool.clone(),
                 samples_pool: samples_pool.clone(),
                 excess: Vec::new(),
                 totals: totals.clone(),
-                log,
-                streams,
+                log: Log::Inline(Box::new(stage)),
+                streams: HashMap::new(),
                 replies: Vec::new(),
             };
+            let (worker, stats, conn) = match wal {
+                Some(cfg) => worker.recover(cfg, i)?,
+                None => (worker, RecoveryStats::default(), 0),
+            };
+            recovery.merge(&stats);
+            max_conn = max_conn.max(conn);
             let join = std::thread::Builder::new()
                 .name(format!("latlab-shard-{i}"))
                 .spawn(move || worker.run(rx))
@@ -482,15 +476,7 @@ impl ShardSet {
     /// and exits. Idempotent — later calls are no-ops, and later sends
     /// report [`IngestRejection::Closed`].
     pub fn drain_and_join(&self) {
-        for shard in &self.shards {
-            // Drain must get through even when the queue is full; send
-            // blocks until the worker makes room.
-            let _ = shard.tx.send(Msg::Drain);
-        }
-        let joins = std::mem::take(&mut *self.joins.lock().expect("join lock poisoned"));
-        for join in joins {
-            let _ = join.join();
-        }
+        self.stop(|| Msg::Drain);
     }
 
     /// Fault-injection hook: kill every shard as `kill -9` would — no
@@ -498,8 +484,15 @@ impl ShardSet {
     /// space are deliberately lost. The chaos tests use this to prove
     /// that recovery rebuilds exactly the acknowledged state.
     pub fn crash_and_join(&self) {
+        self.stop(|| Msg::Crash);
+    }
+
+    /// Sends every shard `msg()` and joins the threads. The message gets
+    /// through a full queue too: `send` blocks until the worker makes
+    /// room.
+    fn stop(&self, msg: fn() -> Msg) {
         for shard in &self.shards {
-            let _ = shard.tx.send(Msg::Crash);
+            let _ = shard.tx.send(msg());
         }
         let joins = std::mem::take(&mut *self.joins.lock().expect("join lock poisoned"));
         for join in joins {
@@ -509,6 +502,7 @@ impl ShardSet {
 }
 
 /// Per-stream state a shard worker keeps.
+#[derive(Default)]
 struct StreamState {
     class: Option<EventClass>,
     /// Highest committed frame seq (the dedupe watermark).
@@ -527,33 +521,40 @@ struct StreamState {
     /// The current upload failed; further frames are ignored until the
     /// next `Begin`.
     errored: bool,
+    /// The log holds frames of this stream after its last `End` or
+    /// `Begin` record, or the checkpoint replay starts from holds its
+    /// decoder: replay may reach the next upload with a decoder open.
+    open_in_log: bool,
 }
 
 impl StreamState {
-    fn fresh(class: Option<EventClass>) -> StreamState {
-        StreamState {
-            class,
-            last_seq: 0,
-            done_records: 0,
-            done_bytes: 0,
-            decoder: None,
-            reply: None,
-            ack_dirty: false,
-            errored: false,
+    /// The `Begin` transition, for a connection's [`Msg::Begin`] and for
+    /// a replayed `Begin` record. `Ok(true)` means the stream starts
+    /// fresh decode state: a decoder an abandoned or failed upload left
+    /// is dropped.
+    fn begin(&mut self, class: Option<EventClass>, mode: BeginMode) -> Result<bool, String> {
+        self.class = class;
+        self.errored = false;
+        let fresh = match mode {
+            BeginMode::Fresh => true,
+            BeginMode::Continue(base) if base > self.last_seq => {
+                self.errored = true;
+                return Err(format!(
+                    "resume base {base} ahead of committed seq {}",
+                    self.last_seq
+                ));
+            }
+            // At the watermark nothing of the continued upload was
+            // committed, so a decoder here belongs to an abandoned
+            // predecessor. Below it the mid-trace state is kept, and the
+            // client skips to the watermark.
+            BeginMode::Continue(base) => base == self.last_seq,
+        };
+        if fresh {
+            self.decoder = None;
         }
+        Ok(fresh)
     }
-}
-
-/// Decodes one frame to its latency samples (milliseconds), into
-/// `samples` through the `excess` scratch — the decode step live ingest
-/// (on the worker) and WAL replay both run.
-fn decode_frame(
-    decoder: &mut StreamDecoder,
-    bytes: &[u8],
-    excess: &mut Vec<u64>,
-    samples: &mut Vec<f64>,
-) -> Result<(), String> {
-    decode_samples(decoder, bytes, excess, samples).map_err(|e| format!("trace: {e}"))
 }
 
 /// Folds one decoded frame's samples into its scenario's sketch — the
@@ -673,39 +674,22 @@ impl Worker {
         mode: BeginMode,
         reply: Sender<Reply>,
     ) {
-        let state = self
-            .streams
-            .entry(stream)
-            .or_insert_with(|| StreamState::fresh(class));
-        state.class = class;
+        let state = self.streams.entry(stream.clone()).or_default();
         state.reply = Some(reply.clone());
-        state.errored = false;
-        match mode {
-            BeginMode::Fresh => {
-                state.decoder = None;
-            }
-            BeginMode::Continue(base) => {
-                if base > state.last_seq {
-                    state.errored = true;
-                    let _ = reply.send(Reply::Err(format!(
-                        "resume base {base} ahead of committed seq {}",
-                        state.last_seq
-                    )));
-                    return;
-                }
-                if base == state.last_seq {
-                    // Nothing of the continued upload was committed; any
-                    // decoder here belongs to an abandoned predecessor.
-                    state.decoder = None;
-                }
-                // base < last_seq: keep the mid-trace state and let the
-                // client skip to the watermark.
-            }
-        }
         // Started carries no durability promise — answer immediately so
         // the handler can greet without waiting out a commit round.
-        let _ = reply.send(Reply::Started {
-            last_seq: state.last_seq,
+        let _ = reply.send(match state.begin(class, mode) {
+            Err(msg) => Reply::Err(msg),
+            Ok(fresh) => {
+                if fresh && std::mem::take(&mut state.open_in_log) {
+                    // Replay must drop the decoder the log left open
+                    // here too, before this upload's first frame.
+                    self.log.append(LogMsg::Record(WalRecord::Begin { stream }));
+                }
+                Reply::Started {
+                    last_seq: state.last_seq,
+                }
+            }
         });
     }
 
@@ -742,11 +726,12 @@ impl Worker {
         }
         let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
         let mut samples = self.samples_pool.get();
-        match decode_frame(decoder, &bytes, &mut self.excess, &mut samples) {
+        match decode_samples(decoder, &bytes, &mut self.excess, &mut samples) {
             Ok(()) => {
                 // Committed as of the next barrier; an append failure
                 // surfaces there and fails the round.
                 state.last_seq = seq;
+                state.open_in_log = true;
                 if resume {
                     state.ack_dirty = true;
                 }
@@ -760,12 +745,12 @@ impl Worker {
                     samples,
                 });
             }
-            Err(msg) => {
+            Err(e) => {
                 // A frame that fails to decode folds none of its
                 // samples and is never logged.
                 state.errored = true;
                 state.decoder = None;
-                self.reply_to(&stream, Reply::Err(msg));
+                self.reply_to(&stream, Reply::Err(format!("trace: {e}")));
                 self.pool.put(bytes);
                 self.samples_pool.put(samples);
             }
@@ -820,6 +805,7 @@ impl Worker {
         state.done_records = records;
         state.done_bytes = bytes;
         state.decoder = None;
+        state.open_in_log = false;
         if resume {
             state.ack_dirty = true;
         }
@@ -830,7 +816,8 @@ impl Worker {
             // discards it the same way).
             self.streams.remove(&stream);
         }
-        self.log.append(LogMsg::End { stream, seq });
+        self.log
+            .append(LogMsg::Record(WalRecord::End { stream, seq }));
     }
 
     /// Queues a reply for delivery at the next commit point.
@@ -911,6 +898,108 @@ impl Worker {
         let last_lsn = log.next_lsn - 1;
         log.send(LogMsg::Checkpoint(CheckpointJob { last_lsn, streams }));
     }
+
+    /// Rebuilds the shard from its log before it takes any traffic:
+    /// loads the newest checkpoint, then feeds every later record to the
+    /// worker's own transitions while its log stage is still inline.
+    /// Then gives the stage the log and its own thread. Returns the
+    /// worker, what recovery did, and the highest connection id seen.
+    fn recover(
+        mut self,
+        cfg: &WalConfig,
+        shard: usize,
+    ) -> io::Result<(Worker, RecoveryStats, u64)> {
+        let t0 = Instant::now();
+        let dir = cfg.shard_dir(shard);
+        let mut stats = RecoveryStats::default();
+        let (mut max_conn, mut after_lsn) = (0u64, 0u64);
+        let Log::Inline(mut stage) = self.log else {
+            unreachable!("a worker recovers before its log stage has a thread")
+        };
+        if let Some(ckpt) = load_checkpoint(&dir)? {
+            stats.checkpoints = 1;
+            after_lsn = ckpt.last_lsn;
+            for (scenario, sketch) in ckpt.sketches {
+                stage.sketches.insert(scenario, Arc::new(sketch));
+            }
+            for s in ckpt.streams {
+                max_conn = max_conn.max(s.id.conn_id().unwrap_or(0));
+                let state = StreamState {
+                    class: s.class,
+                    last_seq: s.last_seq,
+                    done_records: s.done_records,
+                    done_bytes: s.done_bytes,
+                    open_in_log: s.decoder.is_some(),
+                    decoder: s.decoder.map(StreamDecoder::restore),
+                    ..StreamState::default()
+                };
+                self.streams.insert(s.id, state);
+            }
+        }
+        let folded = |stage: &LogStage| stage.sketches.values().map(|s| s.total()).sum::<u64>();
+        let loaded = folded(&stage);
+        self.log = Log::Inline(stage);
+        let (rstats, next_lsn) = replay(&dir, after_lsn, |_lsn, rec| {
+            max_conn = max_conn.max(rec.stream().conn_id().unwrap_or(0));
+            match rec {
+                WalRecord::Frame {
+                    stream,
+                    class,
+                    seq,
+                    bytes,
+                } => {
+                    let state = self.streams.entry(stream.clone()).or_default();
+                    state.class = class;
+                    let records = |s: &StreamState| {
+                        s.decoder.as_ref().map_or(0, StreamDecoder::records_decoded)
+                    };
+                    let before = records(state);
+                    let crc = crc32(&bytes);
+                    let stream = Arc::new(stream);
+                    self.on_frame(Arc::clone(&stream), seq, bytes, crc);
+                    stats.records += records(&self.streams[&*stream]).saturating_sub(before);
+                }
+                WalRecord::End { stream, seq } => self.on_end(stream, seq),
+                WalRecord::Begin { stream } => {
+                    if let Some(state) = self.streams.get_mut(&stream) {
+                        let _ = state.begin(state.class, BeginMode::Fresh);
+                    }
+                }
+            }
+        })?;
+        stats.segments = rstats.segments;
+        stats.frames = rstats.replayed;
+        stats.torn_tails = u64::from(rstats.torn);
+        // One-shot streams died with their connections; their folded prefix
+        // stays in the sketch (as it would have, had the process lived).
+        self.streams
+            .retain(|id, _| matches!(id, StreamId::Keyed { .. }));
+        for state in self.streams.values_mut() {
+            state.errored = false;
+            state.ack_dirty = false;
+        }
+        let Log::Inline(mut stage) = self.log else {
+            unreachable!("replay keeps the log stage inline")
+        };
+        stats.samples = folded(&stage) - loaded;
+        // Publish what recovery rebuilt before any ingest, so queries see
+        // the pre-crash state from the first epoch.
+        if !stage.sketches.is_empty() {
+            stage.publish(true);
+        }
+        stats.millis = t0.elapsed().as_millis() as u64;
+        let wal = ShardWal::open(&dir, cfg.segment_bytes, next_lsn)?;
+        let checkpoint_bytes = cfg.checkpoint_bytes.max(1);
+        let (stage, log_rx, mut handle) =
+            stage.with_wal(wal, dir, checkpoint_bytes, self.totals.clone());
+        let join = std::thread::Builder::new()
+            .name(format!("latlab-wal-{shard}"))
+            .spawn(move || stage.run(log_rx))
+            .expect("spawn log stage");
+        handle.join = Some(join);
+        self.log = Log::Thread(handle);
+        Ok((self, stats, max_conn))
+    }
 }
 
 /// Messages the log stage may have queued from its worker. Each queued
@@ -942,13 +1031,8 @@ enum LogMsg {
         /// (pooled).
         samples: Vec<f64>,
     },
-    /// Append an end-of-upload record.
-    End {
-        /// Owning stream.
-        stream: StreamId,
-        /// Sequence number of the end frame.
-        seq: u64,
-    },
+    /// Append an `End` or `Begin` record.
+    Record(WalRecord),
     /// The commit barrier: flush, then answer with a [`Synced`].
     Flush,
     /// Write a checkpoint and prune the segments it covers.
@@ -981,7 +1065,7 @@ enum Log {
 }
 
 impl Log {
-    /// Hands over a record (a frame or an end marker).
+    /// Hands over a record (a frame, or an `End` or `Begin` record).
     fn append(&mut self, msg: LogMsg) {
         match self {
             Log::Inline(stage) => stage.handle(msg),
@@ -1252,9 +1336,9 @@ impl LogStage {
                     self.publish(false);
                 }
             }
-            LogMsg::End { stream, seq } => {
+            LogMsg::Record(rec) => {
                 if let Some(log) = &mut self.wal {
-                    log.append(|wal| wal.append_end(&stream, seq));
+                    log.append(|wal| wal.append(&rec));
                 }
             }
             LogMsg::Flush => {
@@ -1333,111 +1417,6 @@ enum Flow {
     Continue,
     Drain,
     Crash,
-}
-
-/// What one shard rebuilt at startup.
-struct Recovered {
-    sketches: HashMap<String, Arc<LatencySketch>>,
-    streams: HashMap<StreamId, StreamState>,
-    stats: RecoveryStats,
-    next_lsn: u64,
-    max_conn: u64,
-}
-
-/// Checkpoint load + tail replay for one shard directory, run before
-/// the worker accepts any traffic.
-fn recover_shard(dir: &Path) -> io::Result<Recovered> {
-    let t0 = Instant::now();
-    let mut stats = RecoveryStats::default();
-    let mut sketches: HashMap<String, Arc<LatencySketch>> = HashMap::new();
-    let mut streams: HashMap<StreamId, StreamState> = HashMap::new();
-    let mut max_conn = 0u64;
-    let mut after_lsn = 0u64;
-    if let Some(ckpt) = load_checkpoint(dir)? {
-        stats.checkpoints = 1;
-        after_lsn = ckpt.last_lsn;
-        for (scenario, sketch) in ckpt.sketches {
-            sketches.insert(scenario, Arc::new(sketch));
-        }
-        for s in ckpt.streams {
-            if let Some(c) = s.id.conn_id() {
-                max_conn = max_conn.max(c);
-            }
-            let mut state = StreamState::fresh(s.class);
-            state.last_seq = s.last_seq;
-            state.done_records = s.done_records;
-            state.done_bytes = s.done_bytes;
-            state.decoder = s.decoder.map(StreamDecoder::restore);
-            streams.insert(s.id, state);
-        }
-    }
-    let (mut excess, mut samples) = (Vec::new(), Vec::new());
-    let (rstats, next_lsn) = replay(dir, after_lsn, |_lsn, rec| match rec {
-        WalRecord::Frame {
-            stream,
-            class,
-            seq,
-            bytes,
-        } => {
-            if let Some(c) = stream.conn_id() {
-                max_conn = max_conn.max(c);
-            }
-            let state = streams
-                .entry(stream.clone())
-                .or_insert_with(|| StreamState::fresh(class));
-            if state.errored || seq <= state.last_seq {
-                return;
-            }
-            state.class = class;
-            let decoder = state.decoder.get_or_insert_with(StreamDecoder::new);
-            let before = decoder.records_decoded();
-            match decode_frame(decoder, &bytes, &mut excess, &mut samples) {
-                Ok(()) => {
-                    stats.records += decoder.records_decoded() - before;
-                    stats.samples += fold_into(&mut sketches, stream.scenario(), class, &samples);
-                    state.last_seq = seq;
-                }
-                Err(_) => {
-                    // Same terminal state live ingest reached: the stream
-                    // errored; its committed prefix stays folded.
-                    state.errored = true;
-                    state.decoder = None;
-                }
-            }
-        }
-        WalRecord::End { stream, seq } => {
-            if let Some(state) = streams.get_mut(&stream) {
-                if state.errored || seq <= state.last_seq {
-                    return;
-                }
-                let (records, bytes) = state
-                    .decoder
-                    .as_ref()
-                    .map_or((0, 0), |d| (d.records_decoded(), d.bytes_fed()));
-                state.last_seq = seq;
-                state.done_records = records;
-                state.done_bytes = bytes;
-                state.decoder = None;
-            }
-        }
-    })?;
-    stats.segments = rstats.segments;
-    stats.frames = rstats.replayed;
-    stats.torn_tails = u64::from(rstats.torn);
-    // One-shot streams died with their connections; their folded prefix
-    // stays in the sketch (as it would have, had the process lived).
-    streams.retain(|id, _| matches!(id, StreamId::Keyed { .. }));
-    for state in streams.values_mut() {
-        state.errored = false;
-    }
-    stats.millis = t0.elapsed().as_millis() as u64;
-    Ok(Recovered {
-        sketches,
-        streams,
-        stats,
-        next_lsn,
-        max_conn,
-    })
 }
 
 /// Shared in-crate test helpers for driving a [`ShardSet`] directly
@@ -1606,7 +1585,7 @@ mod tests {
     use super::*;
     use crate::protocol::{read_seq_frame, write_seq_frame};
     use crate::slam::idle_corpus;
-    use crate::wal::{encode_end_record, encode_frame_record};
+    use crate::wal::encode_frame_record;
 
     /// Decodes and folds one frame the way a shard and WAL replay do,
     /// as the reference for what a shard folded.
@@ -1619,7 +1598,7 @@ mod tests {
         bytes: &[u8],
     ) -> Result<u64, String> {
         let mut samples = Vec::new();
-        decode_frame(decoder, bytes, excess, &mut samples)?;
+        decode_samples(decoder, bytes, excess, &mut samples).map_err(|e| format!("trace: {e}"))?;
         Ok(fold_into(sketches, scenario, class, &samples))
     }
 
@@ -1833,6 +1812,165 @@ mod tests {
             merged["fig5"].class(EventClass::Keystroke).stats().mean(),
             whole.sketch.class(EventClass::Keystroke).stats().mean()
         );
+    }
+
+    #[test]
+    fn a_new_upload_after_an_abandoned_one_survives_a_crash() {
+        // Upload A commits frames 1..=k and is abandoned before its end
+        // frame; upload B then starts on the same key and completes.
+        // Live, B's `Begin` dropped A's decoder. Replay after a crash must
+        // drop it at the same point, or it feeds B's header to A's
+        // mid-trace decoder and loses every sample of the acknowledged B.
+        let corpus_b = idle_corpus(20_000, 0xb0b, 48);
+        let (a, b) = (
+            frames_of(&idle_corpus(20_000, 0xa1a, 48), 4096),
+            frames_of(&corpus_b, 4096),
+        );
+        let k = a.len() / 2;
+        let class = Some(EventClass::Keystroke);
+        let image = |sketch: &LatencySketch| {
+            let mut out = Vec::new();
+            sketch.encode(&mut out);
+            out
+        };
+        // What was acknowledged, in fold order: A's frames 1..=k, then B.
+        let mut acked = HashMap::new();
+        for frames in [&a[..k], &b[..]] {
+            let (mut decoder, mut excess) = (StreamDecoder::new(), Vec::new());
+            for frame in frames {
+                fold_frame_into(&mut decoder, &mut acked, "fig5", class, &mut excess, frame)
+                    .unwrap();
+            }
+        }
+        let acked = image(&acked["fig5"]);
+        let run = |tag: &str, mode: BeginMode, seq_gap: bool| {
+            let tmp = TempDir::new(tag);
+            let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+            let stream = keyed("c", "fig5");
+            let (rx, _) = begin(&set, 0, &stream, BeginMode::Fresh);
+            for (i, frame) in a[..k].iter().enumerate() {
+                send_retry(&set, 0, frame_msg(&stream, 1 + i as u64, frame.clone()));
+            }
+            let mut seq = 0;
+            while seq < k as u64 {
+                match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                    Reply::Ack { seq: s } => seq = s,
+                    other => panic!("{tag}: unexpected {other:?}"),
+                }
+            }
+            if seq_gap {
+                send_retry(&set, 0, frame_msg(&stream, seq + 2, a[k + 1].clone()));
+                match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                    Reply::Err(msg) => assert!(msg.contains("seq gap"), "{tag}: {msg}"),
+                    other => panic!("{tag}: expected the seq-gap error, got {other:?}"),
+                }
+            }
+            let (rx, base) = begin(&set, 0, &stream, mode);
+            assert_eq!(base, k as u64, "{tag}");
+            let done = upload_tail(&set, 0, &stream, &rx, &b, base, 0);
+            let bytes = corpus_b.len() as u64;
+            assert_eq!(
+                done,
+                Reply::Done {
+                    records: 20_000,
+                    bytes
+                },
+                "{tag}"
+            );
+            // The live sketch, once an idle publish covers B.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let live = loop {
+                let snap = set.snapshots()[0].clone();
+                let live = snap.sketches.get("fig5").map(|s| image(s));
+                if live.as_ref().is_some_and(|l| *l == acked) {
+                    break live.unwrap();
+                }
+                assert!(Instant::now() < deadline, "{tag}: live sketch never held B");
+                std::thread::sleep(Duration::from_millis(2));
+            };
+            set.crash_and_join();
+
+            let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+            let recovered = set.snapshots()[0].sketches["fig5"].clone();
+            assert!(
+                image(&recovered) == live,
+                "{tag}: recovered {} samples, live held {}",
+                recovered.total(),
+                LatencySketch::decode(&live).unwrap().0.total(),
+            );
+            let (_rx, watermark) = begin(&set, 0, &stream, BeginMode::Continue(0));
+            assert_eq!(watermark, (k + b.len() + 1) as u64, "{tag}");
+            set.drain_and_join();
+        };
+        // `PUT … RESUME` with no base opens a fresh upload.
+        run("abandoned-resume", BeginMode::Fresh, false);
+        run("abandoned-continue", BeginMode::Continue(k as u64), false);
+        run("abandoned-seq-gap", BeginMode::Fresh, true);
+    }
+
+    #[test]
+    fn an_upload_after_replaying_a_log_without_begin_records_survives_a_crash() {
+        // A log written before `Begin` records existed can hold a new
+        // upload's frames right behind an abandoned one's. Replay fails
+        // that stream at the new upload's header, as it always did. The
+        // next upload on the key must still log a `Begin`, or every later
+        // replay fails the stream at the same place and skips it too.
+        let tmp = TempDir::new("pre-begin");
+        let frames = |seed| frames_of(&idle_corpus(20_000, seed, 48), 4096);
+        let (a, b, c) = (frames(0xa1a), frames(0xb0b), frames(0xc0c));
+        let k = a.len() / 2;
+        let stream = keyed("c", "fig5");
+        let class = Some(EventClass::Keystroke);
+        let mut wal = ShardWal::open(&tmp.wal().shard_dir(0), u64::MAX, 1).unwrap();
+        for (i, frame) in a[..k].iter().chain(&b).enumerate() {
+            let (stream, seq, bytes) = (stream.clone(), i as u64 + 1, frame.clone());
+            wal.append(&WalRecord::Frame {
+                stream,
+                class,
+                seq,
+                bytes,
+            })
+            .unwrap();
+        }
+        let seq = (k + b.len() + 1) as u64;
+        let stream_end = stream.clone();
+        wal.append(&WalRecord::End {
+            stream: stream_end,
+            seq,
+        })
+        .unwrap();
+        wal.flush().unwrap();
+        drop(wal);
+
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        // What the replay kept: A's frames, and B's up to the one that
+        // failed in A's decoder.
+        let held = set.snapshots()[0].sketches["fig5"].clone();
+        let (rx, base) = begin(&set, 0, &stream, BeginMode::Fresh);
+        assert!(base < seq, "replay completed B at seq {base}");
+        let done = upload_tail(&set, 0, &stream, &rx, &c, base, 0);
+        assert!(matches!(done, Reply::Done { .. }), "{done:?}");
+        set.crash_and_join();
+
+        let set = ShardSet::start(&config(1), Some(&tmp.wal())).unwrap();
+        let mut expect = HashMap::from([("fig5".to_owned(), held)]);
+        let (mut decoder, mut excess) = (StreamDecoder::new(), Vec::new());
+        for frame in &c {
+            fold_frame_into(&mut decoder, &mut expect, "fig5", class, &mut excess, frame).unwrap();
+        }
+        let image = |sketch: &LatencySketch| {
+            let mut out = Vec::new();
+            sketch.encode(&mut out);
+            out
+        };
+        let got = set.snapshots()[0].sketches["fig5"].clone();
+        assert!(
+            image(&got) == image(&expect["fig5"]),
+            "recovered {} samples, want {}",
+            got.total(),
+            expect["fig5"].total()
+        );
+        set.drain_and_join();
     }
 
     #[test]
@@ -2159,7 +2297,7 @@ mod tests {
                 panic!("the queue lost frame {i}");
             };
             let mut samples = samples_pool.get();
-            decode_frame(&mut decoder, &bytes, &mut excess, &mut samples).unwrap();
+            decode_samples(&mut decoder, &bytes, &mut excess, &mut samples).unwrap();
             log.append(LogMsg::Frame {
                 stream,
                 class,
@@ -2226,7 +2364,7 @@ mod tests {
         let mut hand = |log: &mut LogHandle, decoder: &mut StreamDecoder, i: usize| {
             let bytes = frames[i].clone();
             let mut samples = samples_pool.get();
-            decode_frame(decoder, &bytes, &mut excess, &mut samples).unwrap();
+            decode_samples(decoder, &bytes, &mut excess, &mut samples).unwrap();
             log.append(LogMsg::Frame {
                 stream: Arc::new(stream.clone()),
                 class,
@@ -2329,7 +2467,8 @@ mod tests {
                 bytes += 8 + body.len() as u64;
             }
             body.clear();
-            encode_end_record(&stream, frames.len() as u64 + 1, &mut body);
+            let seq = frames.len() as u64 + 1;
+            WalRecord::End { stream, seq }.encode(&mut body);
             records += 1;
             bytes += 8 + body.len() as u64;
         }

@@ -9,6 +9,18 @@
 //!   protocol uses ([`crate::protocol::write_frame`]). Records carry
 //!   implicit, densely increasing log sequence numbers (LSNs) starting
 //!   at the segment's `first_lsn`. Segments rotate at a size threshold.
+//!   There are three kinds of record:
+//!   - `Frame` (tag 1): an accepted trace frame, logged before it is
+//!     acknowledged;
+//!   - `End` (tag 2): an end frame that completed its upload;
+//!   - `Begin` (tag 3): a new upload on a stream dropped the mid-trace
+//!     decode state of an abandoned or failed one. It is written only
+//!     when the log holds frames of the stream after its last `End` or
+//!     `Begin` record (or a checkpoint holds its decoder), so that
+//!     replay never feeds the new upload into the old decoder. A binary
+//!     that predates `Begin` records reads one as malformed and stops
+//!     replay there, as at a torn tail: do not run it on a non-empty log
+//!     written by a later one.
 //! * **Checkpoints** (`ckpt-<last_lsn>.ckpt`): an epoch snapshot of the
 //!   shard's state — every scenario sketch (via
 //!   [`LatencySketch::encode`]) plus every live upload stream's resume
@@ -17,8 +29,9 @@
 //!   CRC-32 over the whole image.
 //!
 //! Recovery = newest valid checkpoint + [`replay`] of every record with
-//! an LSN past it, through the same decode→extract→fold path live
-//! ingest uses. A torn tail (partial final record, from a crash mid
+//! an LSN past it, each fed to the shard worker's own frame, end and
+//! begin transitions, so replay cannot take a path live ingest did not.
+//! A torn tail (partial final record, from a crash mid
 //! `write(2)`) is treated as a clean end of log: replay stops at the
 //! last intact record, exactly like the trace reader's tolerant
 //! salvage. Nothing here calls `fsync` — the contract is crash-safety
@@ -180,6 +193,11 @@ pub enum WalRecord {
         /// Sequence number of the end frame.
         seq: u64,
     },
+    /// A new upload dropped the stream's mid-trace decode state.
+    Begin {
+        /// Owning stream.
+        stream: StreamId,
+    },
 }
 
 /// Serializes a `Frame` record payload from borrowed parts (the worker
@@ -198,13 +216,6 @@ pub(crate) fn encode_frame_record(
     out.extend_from_slice(payload);
 }
 
-/// Serializes an `End` record payload from borrowed parts.
-pub(crate) fn encode_end_record(stream: &StreamId, seq: u64, out: &mut Vec<u8>) {
-    out.push(2);
-    stream.encode(out);
-    out.extend_from_slice(&seq.to_le_bytes());
-}
-
 impl WalRecord {
     /// Serializes the record payload (the part that goes inside the
     /// length+CRC framing).
@@ -216,7 +227,15 @@ impl WalRecord {
                 seq,
                 bytes,
             } => encode_frame_record(stream, *class, *seq, bytes, out),
-            WalRecord::End { stream, seq } => encode_end_record(stream, *seq, out),
+            WalRecord::End { stream, seq } => {
+                out.push(2);
+                stream.encode(out);
+                out.extend_from_slice(&seq.to_le_bytes());
+            }
+            WalRecord::Begin { stream } => {
+                out.push(3);
+                stream.encode(out);
+            }
         }
     }
 
@@ -244,6 +263,10 @@ impl WalRecord {
                 }
                 Some(WalRecord::End { stream, seq })
             }
+            3 => {
+                let stream = StreamId::decode(buf, &mut at)?;
+                (at == buf.len()).then_some(WalRecord::Begin { stream })
+            }
             _ => None,
         }
     }
@@ -251,7 +274,9 @@ impl WalRecord {
     /// Owning stream of the record.
     pub fn stream(&self) -> &StreamId {
         match self {
-            WalRecord::Frame { stream, .. } | WalRecord::End { stream, .. } => stream,
+            WalRecord::Frame { stream, .. }
+            | WalRecord::End { stream, .. }
+            | WalRecord::Begin { stream } => stream,
         }
     }
 }
@@ -421,7 +446,8 @@ impl ShardWal {
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<u64> {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
-        self.commit_scratch()
+        write_frame(&mut self.writer, &self.scratch)?;
+        self.advance(self.scratch.len())
     }
 
     /// Appends a `Frame` record from borrowed parts, given `payload_crc`,
@@ -456,22 +482,6 @@ impl ShardWal {
         let mut bufs = [IoSlice::new(&self.scratch), IoSlice::new(payload)];
         write_all_vectored(&mut self.writer, &mut bufs)?;
         self.advance(len)
-    }
-
-    /// Appends an `End` record from borrowed parts.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem write failures.
-    pub(crate) fn append_end(&mut self, stream: &StreamId, seq: u64) -> io::Result<u64> {
-        self.scratch.clear();
-        encode_end_record(stream, seq, &mut self.scratch);
-        self.commit_scratch()
-    }
-
-    fn commit_scratch(&mut self) -> io::Result<u64> {
-        write_frame(&mut self.writer, &self.scratch)?;
-        self.advance(self.scratch.len())
     }
 
     /// Accounts for one record of `len` body bytes just written, and
@@ -1099,6 +1109,9 @@ mod tests {
             WalRecord::End {
                 stream: keyed("host-1"),
                 seq: 8,
+            },
+            WalRecord::Begin {
+                stream: keyed("host-1"),
             },
         ];
         for rec in &records {

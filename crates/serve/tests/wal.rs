@@ -119,6 +119,7 @@ fn crash_recovery_and_resent_tail_are_exactly_once() {
     let rec = *server.recovery();
     assert!(rec.frames > 0, "crash restart replayed nothing: {rec:?}");
     assert_eq!(rec.records, exact.records, "replayed records: {rec:?}");
+    assert_eq!(rec.samples, exact.samples, "replayed samples: {rec:?}");
 
     // The resume watermark survived: a reconnecting client is told how
     // far the server got (all frames plus the end marker).
