@@ -2,6 +2,7 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use latlab_core::cli;
@@ -110,7 +111,7 @@ fn main() -> ExitCode {
         config.wal = Some(wal);
     }
 
-    latlab_serve::install_signal_handlers(&SIGNALLED);
+    install_signal_handlers(&SIGNALLED);
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => return cli::runtime_error(BIN, &format!("failed to start: {e}")),
@@ -157,4 +158,34 @@ fn main() -> ExitCode {
         merged.len()
     );
     ExitCode::SUCCESS
+}
+
+/// The flag [`install_signal_handlers`] flips.
+static SIGNAL_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
+
+/// Makes SIGINT and SIGTERM set `flag`, which the main loop polls to
+/// start a graceful drain. Only the first call's flag is ever set; on
+/// non-Unix targets this does nothing.
+fn install_signal_handlers(flag: &'static AtomicBool) {
+    let _ = SIGNAL_FLAG.set(flag);
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        extern "C" fn on_signal(_signum: i32) {
+            if let Some(flag) = SIGNAL_FLAG.get() {
+                flag.store(true, Ordering::SeqCst);
+            }
+        }
+        // SAFETY: `signal` is the C library's, declared with its ABI
+        // (`int` signal number, handler passed as a pointer-sized value).
+        // SIGINT = 2 and SIGTERM = 15 are valid signal numbers, and the
+        // handler only performs an atomic load and an atomic store, both
+        // async-signal-safe.
+        unsafe {
+            signal(2, on_signal as *const () as usize);
+            signal(15, on_signal as *const () as usize);
+        }
+    }
 }

@@ -34,16 +34,20 @@
 //!
 //! [`slam`] is the companion load generator: N uploader connections
 //! replaying a corpus while a prober measures query-path latency under
-//! that load. [`netfault`] is the matching chaos layer: a seeded
-//! in-process TCP proxy that injects resets, partial writes, delays,
-//! and duplicated frames between the two, deterministically.
+//! that load.
+//!
+//! Failure paths are tested from seeds, not from timing: the shard
+//! worker's own transitions run seeded schedules of interleaved
+//! uploads, resets and duplicates, and every crash state of the log
+//! they write — each record boundary, and torn records — is recovered
+//! and checked ([`shard`]'s tests); a loopback test cuts a resumable
+//! upload's wire bytes at every offset and resumes it.
 //!
 //! Everything runs on the standard library alone: threads, channels,
 //! and blocking sockets — no async runtime, in keeping with the
 //! workspace's no-external-dependency constraint.
 
 pub mod client;
-pub mod netfault;
 pub mod pipeline;
 pub mod protocol;
 pub mod query;
@@ -55,7 +59,6 @@ pub mod wal;
 pub use client::{
     upload, upload_resumable, IngestClient, QueryClient, ResumableUpload, ResumeOpts, UploadOutcome,
 };
-pub use netfault::{FaultConfig, FaultProxy};
 pub use pipeline::{fold_corpus, FoldOutcome};
 pub use protocol::{PutHeader, Query};
 pub use query::{merge_full, MergedView, PlaneStats, QueryPlane, ScenarioEntry};
@@ -63,36 +66,3 @@ pub use server::{ServeConfig, ServeStats, Server};
 pub use shard::{IngestRejection, IngestTotals, ShardConfig, ShardSet, ShardSnapshot};
 pub use slam::{idle_corpus, synthetic_corpus, SlamConfig, SlamReport, VerbLatency};
 pub use wal::{RecoveryStats, WalConfig};
-
-use std::sync::atomic::AtomicBool;
-use std::sync::OnceLock;
-
-/// The flag [`install_signal_handlers`] flips.
-static SIGNAL_FLAG: OnceLock<&'static AtomicBool> = OnceLock::new();
-
-/// Makes SIGINT and SIGTERM set `flag`, which the binaries poll to start
-/// a graceful drain. Only the first call's flag is ever set; on non-Unix
-/// targets this does nothing.
-pub fn install_signal_handlers(flag: &'static AtomicBool) {
-    let _ = SIGNAL_FLAG.set(flag);
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        extern "C" fn on_signal(_signum: i32) {
-            if let Some(flag) = SIGNAL_FLAG.get() {
-                flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        // SAFETY: `signal` is the C library's, declared with its ABI
-        // (`int` signal number, handler passed as a pointer-sized value).
-        // SIGINT = 2 and SIGTERM = 15 are valid signal numbers, and the
-        // handler only performs an atomic load and an atomic store, both
-        // async-signal-safe.
-        unsafe {
-            signal(2, on_signal as *const () as usize);
-            signal(15, on_signal as *const () as usize);
-        }
-    }
-}

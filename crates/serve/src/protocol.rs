@@ -574,6 +574,38 @@ mod tests {
     }
 
     #[test]
+    fn every_torn_seq_upload_ends_in_an_unexpected_eof() {
+        // A connection cut mid-write leaves a strict prefix of the upload:
+        // the frames wholly inside it read back intact, and the torn one
+        // reads as the transport closing — never as a frame, a CRC
+        // mismatch or an oversized header.
+        let payloads: [&[u8]; 2] = [b"first frame", &[5u8; 300]];
+        let mut wire = Vec::new();
+        let mut ends = Vec::new();
+        for (seq, payload) in (1..).zip(payloads) {
+            write_seq_frame(&mut wire, seq, payload).unwrap();
+            ends.push(wire.len());
+        }
+        write_seq_end_frame(&mut wire, 3).unwrap();
+        for cut in 0..wire.len() {
+            let mut r = &wire[..cut];
+            let mut buf = Vec::new();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            for (seq, payload) in (1..).zip(&payloads[..whole]) {
+                let read = read_seq_frame(&mut r, &mut buf).unwrap();
+                assert_eq!(read, (seq, Some(crc32(payload))), "cut {cut}");
+                assert_eq!(buf, *payload, "cut {cut}");
+            }
+            match read_seq_frame(&mut r, &mut buf) {
+                Err(FrameError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}")
+                }
+                other => panic!("cut {cut}: a torn frame read as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn queries_parse() {
         assert_eq!(
             Query::parse("STATS fig5").unwrap(),

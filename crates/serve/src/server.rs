@@ -351,7 +351,7 @@ fn handle_ingest(
     )? {
         return Ok(());
     }
-    let watermark = match recv_reply(&reply_rx, inner.read_timeout) {
+    let watermark = match reply_rx.recv_timeout(inner.read_timeout).ok() {
         Some(Reply::Started { last_seq }) => last_seq,
         Some(Reply::Err(msg)) => {
             writeln!(writer, "ERR {msg}")?;
@@ -463,7 +463,7 @@ fn pump_frames(
     }
     // Await the verdict, relaying acks that commit ahead of it.
     loop {
-        match recv_reply(reply_rx, inner.read_timeout) {
+        match reply_rx.recv_timeout(inner.read_timeout).ok() {
             Some(Reply::Ack { seq }) => {
                 if resume {
                     writeln!(writer, "OK {seq}")?;
@@ -524,11 +524,6 @@ fn relay_pending(
             }
         }
     }
-}
-
-/// Receives one reply, tolerating spurious wakeups up to the timeout.
-fn recv_reply(rx: &Receiver<Reply>, timeout: Duration) -> Option<Reply> {
-    rx.recv_timeout(timeout).ok()
 }
 
 /// Offers a message to a shard, retrying a full queue within the

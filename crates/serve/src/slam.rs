@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use latlab_analysis::EventClass;
+use latlab_des::stats::quantile;
 
 use crate::client::{upload, upload_resumable, QueryClient, ResumeOpts, UploadOutcome};
 use crate::protocol::{PutHeader, Query};
@@ -356,6 +357,12 @@ pub fn run(config: &SlamConfig, corpus: &[Vec<u8>]) -> io::Result<SlamReport> {
     let elapsed = started.elapsed();
 
     let all = latencies.lock().expect("latency lock").clone();
+    // `(count, p50, p99, max)` of a set of query latencies, interpolated
+    // between order statistics (0s when empty).
+    let percentiles = |lat: Vec<f64>| {
+        let pick = |q| quantile(&lat, q).unwrap_or(0.0);
+        (lat.len() as u64, pick(0.50), pick(0.99), pick(1.0))
+    };
     let (queries, query_p50_ms, query_p99_ms, query_max_ms) =
         percentiles(all.iter().map(|&(_, ms)| ms).collect());
     let verbs = PROBE_VERBS
@@ -397,25 +404,6 @@ pub fn run(config: &SlamConfig, corpus: &[Vec<u8>]) -> io::Result<SlamReport> {
 
 /// The verbs the prober cycles, in tag order.
 const PROBE_VERBS: [&str; 3] = ["PCTL", "SNAPSHOT", "HEALTH"];
-
-/// `(count, p50, p99, max)` of a latency sample set (0s when empty),
-/// with the nearest-rank pick the slam report has always used.
-fn percentiles(mut lat: Vec<f64>) -> (u64, f64, f64, f64) {
-    lat.sort_by(f64::total_cmp);
-    let pick = |q: f64| -> f64 {
-        if lat.is_empty() {
-            return 0.0;
-        }
-        let rank = (q * (lat.len() - 1) as f64).round() as usize;
-        lat[rank.min(lat.len() - 1)]
-    };
-    (
-        lat.len() as u64,
-        pick(0.50),
-        pick(0.99),
-        lat.last().copied().unwrap_or(0.0),
-    )
-}
 
 /// Builds a deterministic synthetic idle-stamp trace for load runs with
 /// no recorded corpus at hand: a 100 MHz machine whose idle loop stamps

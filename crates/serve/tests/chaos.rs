@@ -1,23 +1,25 @@
-//! Deterministic chaos tests: the ingest path under injected network
-//! faults and real `kill -9`.
+//! Chaos tests over real sockets and real processes: a resumable upload
+//! torn at every byte of its wire bytes, and `kill -9`.
 //!
 //! The invariant throughout: every *acknowledged* sample lands in the
-//! final sketch exactly once, no matter how many resets, torn writes,
-//! duplicated frames, or process deaths happen along the way. Because a
-//! scenario's samples fold in sequence order on a single shard worker,
-//! "exactly once" is checkable bit-for-bit against an offline fold of
-//! the same corpus.
+//! final sketch exactly once, however the connection or the process
+//! dies. Because a scenario's samples fold in sequence order on a single
+//! shard worker, "exactly once" is checkable bit-for-bit against an
+//! offline fold of the same corpus. Crash states of the log itself are
+//! enumerated from seeds by the schedule explorer in `shard.rs`.
 
+use std::io::{self, Read};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use latlab_analysis::{EventClass, LatencySketch};
+use latlab_serve::protocol::{write_seq_end_frame, write_seq_frame};
 use latlab_serve::{
-    fold_corpus, slam::synthetic_corpus, upload, upload_resumable, FaultConfig, FaultProxy,
-    IngestClient, PutHeader, QueryClient, ResumeOpts, ServeConfig, Server, ShardConfig,
-    UploadOutcome, WalConfig,
+    fold_corpus, slam::synthetic_corpus, upload, upload_resumable, IngestClient, PutHeader,
+    QueryClient, ResumeOpts, ServeConfig, Server, ShardConfig, UploadOutcome,
 };
 
 const SERVE: &str = env!("CARGO_BIN_EXE_serve");
@@ -68,9 +70,77 @@ fn health_counter(health: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{key} not numeric in HEALTH: {health}"))
 }
 
+/// Runs `upload_resumable` against a relay that forwards its first
+/// connection's first `cut` bytes to the server, then closes it, and
+/// relays the reconnect whole.
+fn upload_cut_at(
+    server: std::net::SocketAddr,
+    header: &PutHeader,
+    corpus: &[u8],
+    frame_len: usize,
+    cut: usize,
+) -> (UploadOutcome, u64) {
+    let relay = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let at = relay.local_addr().expect("relay addr");
+    let opts = ResumeOpts {
+        max_reconnects: 1,
+        read_timeout: Duration::from_secs(5),
+        reconnect_backoff: Duration::ZERO,
+    };
+    // The server answers the header line only once it is through, so
+    // the client hears nothing of a cut inside it.
+    let greeted = cut > header.render().len() + 1;
+    std::thread::scope(|scope| {
+        let client = scope.spawn(|| upload_resumable(at, header, corpus, frame_len, &opts));
+        let (mut from_client, _) = relay.accept().expect("accept");
+        let mut to_server = TcpStream::connect(server).expect("connect");
+        let mut back = (
+            to_server.try_clone().unwrap(),
+            from_client.try_clone().unwrap(),
+        );
+        let replies = scope.spawn(move || match greeted {
+            true => io::copy(&mut back.0, &mut back.1),
+            false => io::copy(&mut back.0, &mut io::sink()),
+        });
+        // Forwarded as it arrives: the header must reach the server
+        // before the client, awaiting its greeting, sends any frame.
+        let mut prefix = (&mut from_client).take(cut as u64);
+        io::copy(&mut prefix, &mut to_server).expect("forward the prefix");
+        assert_eq!(prefix.limit(), 0, "cut {cut}: the client sent too little");
+        // The client may retry only once the server has closed this
+        // connection, and so has queued all it read: a `Begin` read late
+        // would take the stream over from the retry's.
+        to_server
+            .shutdown(Shutdown::Write)
+            .expect("close the torn attempt");
+        let _ = replies.join();
+        let _ = from_client.shutdown(Shutdown::Both);
+        drop(from_client);
+        // The reconnect, relayed whole both ways.
+        let (from_client, _) = relay.accept().expect("accept the reconnect");
+        let to_server = TcpStream::connect(server).expect("connect");
+        let mut up = (
+            from_client.try_clone().unwrap(),
+            to_server.try_clone().unwrap(),
+        );
+        let mut down = (to_server, from_client);
+        let frames = scope.spawn(move || {
+            let _ = io::copy(&mut up.0, &mut up.1);
+            let _ = up.1.shutdown(Shutdown::Write);
+        });
+        let _ = io::copy(&mut down.0, &mut down.1);
+        let _ = down.1.shutdown(Shutdown::Write);
+        frames.join().expect("relay");
+        let r = client
+            .join()
+            .expect("uploader")
+            .expect("upload past the cut");
+        (r.outcome, r.reconnects)
+    })
+}
+
 #[test]
-fn resumable_uploads_survive_injected_faults_exactly_once() {
-    let tmp = TempDir::new("proxy");
+fn a_resumable_upload_cut_at_every_wire_offset_resumes_exactly_once() {
     let server = Server::start(ServeConfig {
         bind: "127.0.0.1:0".to_owned(),
         shard: ShardConfig {
@@ -78,94 +148,39 @@ fn resumable_uploads_survive_injected_faults_exactly_once() {
             queue_depth: 64,
             publish_every: 1_000,
         },
-        read_timeout: Duration::from_secs(2),
+        read_timeout: Duration::from_secs(5),
         busy_retry: Duration::from_millis(100),
-        wal: Some(WalConfig::new(&tmp.0)),
+        wal: None,
     })
     .expect("start server");
-
-    // Aggressive, seeded fault rates: with ~40 frames per upload, every
-    // run injects resets (half of them torn mid-frame) and duplicates.
-    let proxy = FaultProxy::start(
-        "127.0.0.1:0",
-        server.local_addr(),
-        FaultConfig {
-            seed: 0x7e57_c4a5,
-            reset_one_in: 12,
-            duplicate_one_in: 10,
-            delay_one_in: 16,
-            delay: Duration::from_millis(1),
-        },
-    )
-    .expect("start proxy");
-    let via = proxy.local_addr();
-
-    const CLIENTS: usize = 3;
-    let corpus: Vec<Vec<u8>> = (0..CLIENTS)
-        .map(|i| synthetic_corpus(20_000, 0xc0de + i as u64, 40))
-        .collect();
-    let frame_len = 8 * 1024;
-    let opts = ResumeOpts {
-        max_reconnects: 200,
-        read_timeout: Duration::from_secs(5),
-        reconnect_backoff: Duration::from_millis(1),
-    };
-
-    let handles: Vec<_> = corpus
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, blob)| {
-            let opts = opts.clone();
-            std::thread::spawn(move || {
-                upload_resumable(
-                    via,
-                    &put(&format!("chaos{i}"), &format!("c{i}")),
-                    &blob,
-                    frame_len,
-                    &opts,
-                )
-                .expect("upload past injected faults")
-            })
-        })
-        .collect();
-    let mut reconnects = 0u64;
-    for (i, h) in handles.into_iter().enumerate() {
-        let r = h.join().expect("uploader panicked");
-        match r.outcome {
-            UploadOutcome::Done { records, .. } => {
-                let exact = fold_corpus(&corpus[i], frame_len, EventClass::Keystroke, false);
-                assert_eq!(records, exact.records, "client {i} DONE records");
-            }
-            other => panic!("client {i} not acknowledged: {other:?}"),
-        }
-        reconnects += r.reconnects;
+    let corpus = synthetic_corpus(200, 0xc07, 20);
+    let frame_len = 64;
+    let exact = fold_corpus(&corpus, frame_len, EventClass::Keystroke, false);
+    // Every strict prefix of the first attempt's wire bytes: the header
+    // line, each seq frame, and the end frame.
+    // One scenario per cut, all named alike so every header is as long.
+    let header = |cut: usize| put(&format!("cut{cut:05}"), "c");
+    let mut wire = format!("{}\n", header(0).render()).into_bytes();
+    for (i, frame) in corpus.chunks(frame_len).enumerate() {
+        write_seq_frame(&mut wire, i as u64 + 1, frame).unwrap();
     }
-
-    let resets = proxy.stats().resets.load(Ordering::Relaxed);
-    let duplicated = proxy.stats().duplicated.load(Ordering::Relaxed);
-    assert!(resets > 0, "seeded config injected no resets");
-    assert!(duplicated > 0, "seeded config duplicated no frames");
-    assert!(
-        reconnects > 0,
-        "clients saw {resets} resets but never reconnected"
-    );
-    proxy.stop();
-
-    // Exactly-once, bit-for-bit: each scenario folds on one worker in
-    // sequence order, so duplicates or re-sent tails would change the
-    // encoding.
+    write_seq_end_frame(&mut wire, corpus.len().div_ceil(frame_len) as u64 + 1).unwrap();
+    for cut in 0..wire.len() {
+        let (outcome, reconnects) =
+            upload_cut_at(server.local_addr(), &header(cut), &corpus, frame_len, cut);
+        match outcome {
+            UploadOutcome::Done { records, .. } => assert_eq!(records, exact.records, "cut {cut}"),
+            other => panic!("cut {cut}: {other:?}"),
+        }
+        assert_eq!(reconnects, 1, "cut {cut}");
+    }
+    assert!(wire.len() > 500, "only {} wire bytes", wire.len());
+    // Exactly once, bit for bit: each scenario folds on one worker in
+    // seq order, so a duplicate or a lost frame changes the image.
     let (_, merged) = server.join();
-    for (i, blob) in corpus.iter().enumerate() {
-        let exact = fold_corpus(blob, frame_len, EventClass::Keystroke, false);
-        let sketch = merged
-            .get(&format!("chaos{i}"))
-            .unwrap_or_else(|| panic!("scenario chaos{i} missing"));
-        assert_eq!(
-            encoded(sketch),
-            encoded(&exact.sketch),
-            "client {i}: sketch is not the exact fold"
-        );
+    for cut in 0..wire.len() {
+        let sketch = &merged[&format!("cut{cut:05}")];
+        assert_eq!(encoded(sketch), encoded(&exact.sketch), "cut {cut}");
     }
 }
 
